@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   }
 
   harness::SystemConfig cfg = harness::defaultConfig(2);
-  cfg.host_fastforward = opt.fastforward;
+  cfg.sched_mode = opt.schedMode();
   struct Row {
     std::uint64_t base = 0, hht = 0;
   };

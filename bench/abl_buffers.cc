@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   auto config = [&](std::uint32_t nb) {
     harness::SystemConfig cfg = harness::defaultConfig(nb);
-    cfg.host_fastforward = opt.fastforward;
+    cfg.sched_mode = opt.schedMode();
     return cfg;
   };
   const auto spmv_base = harness::runSpmvBaseline(config(2), m, dv, true);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       harness::SystemConfig cfg = harness::defaultConfig(2);
       cfg.memory.grants_per_cycle = cases[i].grants;
       cfg.memory.policy = cases[i].policy;
-      cfg.host_fastforward = opt.fastforward;
+      cfg.sched_mode = opt.schedMode();
       const auto base = harness::runSpmvBaseline(cfg, m, v, true);
       const auto hht = harness::runSpmvHht(cfg, m, v, true);
       return std::vector<std::string>{
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       // the MCU integration (row "none") the same far RAM is felt directly.
       cfg.memory.sram_latency = 24;
       cfg.memory.cache.miss_penalty = 24;
-      cfg.host_fastforward = opt.fastforward;
+      cfg.sched_mode = opt.schedMode();
       const auto base = harness::runSpmvBaseline(cfg, m, v, true);
       const auto hht = harness::runSpmvHht(cfg, m, v, true);
       const auto rate = [](const harness::RunResult& r, const char* who) {

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     cfg.memory.hht_cache_enabled = hht_cache;
     cfg.memory.prefetch_enabled = prefetch;
     cfg.memory.prefetch_degree = 2;
-    cfg.host_fastforward = opt.fastforward;
+    cfg.sched_mode = opt.schedMode();
     return cfg;
   };
 

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
                        "dedicated ASIC HHT vs programmable (firmware) HHT");
 
   harness::SystemConfig cfg = harness::defaultConfig(2);
-  cfg.host_fastforward = opt.fastforward;
+  cfg.sched_mode = opt.schedMode();
 
   const int sparsities[3] = {30, 60, 90};
   harness::SweepRunner sweep(opt.jobs);

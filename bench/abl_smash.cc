@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     const sparse::DenseVector v = workload::randomDenseVector(rng, n);
 
     harness::SystemConfig cfg = harness::defaultConfig(2);
-    cfg.host_fastforward = opt.fastforward;
+    cfg.sched_mode = opt.schedMode();
     const auto base = harness::runSpmvBaseline(cfg, csr, v, true);
     const auto hht_csr = harness::runSpmvHht(cfg, csr, v, true);
     const auto hht_hb = harness::runHierHht(cfg, hb, v);

@@ -8,15 +8,16 @@
 //   --seed=S           override the workload seed
 //   --jobs=N           host threads for the sweep (default: all hardware
 //                      threads; 1 = serial)
-//   --no-fastforward   disable host-side quiescence skipping (A/B check:
-//                      results must be bit-identical either way)
+//   --no-fastforward   run the naive per-cycle reference loop instead of the
+//                      event-calendar loop (A/B check: results must be
+//                      bit-identical either way)
 //   --timeout-ms=N     host wall-clock budget; the process prints a
 //                      diagnostic and exits 124 if exceeded (HostTimeout)
 // Benches that compare host run-loop strategies (parse with with_mode)
 // also accept:
-//   --mode=naive|fast|event
-//                      restrict the run to one strategy (default: run all
-//                      three and gate each faster mode >= 1.0x the previous)
+//   --mode=naive|event
+//                      restrict the run to one strategy (default: run both
+//                      and gate event >= 1.0x naive)
 //   --repeat=N         sample each pass N times and report the minimum
 //                      wall time (min-of-N; default 1)
 // Benches that wire a representative traced run (parse(..., true)) also
@@ -47,6 +48,7 @@
 #include <thread>
 #include <vector>
 
+#include "harness/system.h"
 #include "obs/export.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -54,12 +56,11 @@
 namespace hht::benchutil {
 
 /// Host run-loop selection for benches that expose --mode (sim_throughput).
-/// Each mode must be at least as fast as the previous one on the bench's
-/// aggregate workload — the bench itself gates on the chain.
+/// The event loop must be at least as fast as the naive one on the bench's
+/// aggregate workload — the bench itself gates on it.
 enum class RunMode {
-  kAll,    ///< flag absent: run every mode and verify the chain
-  kNaive,  ///< per-cycle reference loop (host_fastforward off)
-  kFast,   ///< quiescence fast-forward (SchedMode::Quiescence)
+  kAll,    ///< flag absent: run both loops and verify event >= naive
+  kNaive,  ///< per-cycle reference loop (SchedMode::Naive)
   kEvent,  ///< event-scheduled calendar loop (SchedMode::Event)
 };
 
@@ -68,7 +69,7 @@ struct Options {
   std::uint32_t size = 0;     ///< 0 = figure default
   std::uint64_t seed = 0x5EED'2022;
   unsigned jobs = 0;          ///< 0 = hardware_concurrency
-  bool fastforward = true;    ///< SystemConfig::host_fastforward
+  bool fastforward = true;    ///< false = --no-fastforward (naive loop)
   std::uint32_t timeout_ms = 0;  ///< host wall-clock limit; 0 = none
   RunMode mode = RunMode::kAll;  ///< --mode (benches parsed with with_mode)
   unsigned repeat = 1;        ///< --repeat: min-of-N wall-time sampling
@@ -76,6 +77,10 @@ struct Options {
   std::uint32_t trace_categories = obs::kAllCategories;
 
   bool traceRequested() const { return !trace_file.empty(); }
+  /// SystemConfig::sched_mode for this run.
+  harness::SchedMode schedMode() const {
+    return fastforward ? harness::SchedMode::Event : harness::SchedMode::Naive;
+  }
 };
 
 [[noreturn]] inline void usage(const char* prog, const char* error,
@@ -88,7 +93,7 @@ struct Options {
                "usage: %s [--csv] [--size=N] [--seed=S] [--jobs=N]"
                " [--no-fastforward] [--timeout-ms=N]%s%s\n",
                prog,
-               with_mode ? " [--mode=naive|fast|event] [--repeat=N]" : "",
+               with_mode ? " [--mode=naive|event] [--repeat=N]" : "",
                with_trace ? " [--trace=FILE] [--trace-categories=LIST]" : "");
   std::exit(error == nullptr ? 0 : 2);
 }
@@ -189,13 +194,11 @@ inline ParseStatus tryParse(int argc, char** argv, bool with_trace,
       const char* v = arg + 7;
       if (std::strcmp(v, "naive") == 0) {
         opt.mode = RunMode::kNaive;
-      } else if (std::strcmp(v, "fast") == 0) {
-        opt.mode = RunMode::kFast;
       } else if (std::strcmp(v, "event") == 0) {
         opt.mode = RunMode::kEvent;
       } else {
         error = std::string("bad value '") + v +
-                "' for --mode (want naive, fast or event)";
+                "' for --mode (want naive or event)";
         return ParseStatus::kError;
       }
     } else if (with_mode && std::strncmp(arg, "--repeat=", 9) == 0) {

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   // results come back in row order regardless of --jobs.
   auto config = [&](std::uint32_t buffers) {
     harness::SystemConfig cfg = harness::defaultConfig(buffers);
-    cfg.host_fastforward = opt.fastforward;
+    cfg.sched_mode = opt.schedMode();
     return cfg;
   };
   struct Row {

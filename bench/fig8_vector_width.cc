@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     const int widths[3] = {1, 4, 8};
     for (int i = 0; i < 3; ++i) {
       harness::SystemConfig cfg = harness::defaultConfig(2, widths[i]);
-      cfg.host_fastforward = opt.fastforward;
+      cfg.sched_mode = opt.schedMode();
       const bool vectorized = widths[i] > 1;
       const auto base = harness::runSpmvBaseline(cfg, m, v, vectorized);
       const auto hht = harness::runSpmvHht(cfg, m, v, vectorized);
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     const sparse::CsrMatrix m = workload::randomCsr(rng, n, n, s / 100.0);
     const sparse::DenseVector v = workload::randomDenseVector(rng, n);
     harness::SystemConfig cfg = harness::defaultConfig(2, 1);
-    cfg.host_fastforward = opt.fastforward;
+    cfg.sched_mode = opt.schedMode();
     cfg.trace_sink = &sink;
     harness::runSpmvHht(cfg, m, v, false);
   });

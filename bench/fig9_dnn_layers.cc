@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
         workload::randomDenseVector(rng, layer.in_features);
 
     harness::SystemConfig cfg = harness::defaultConfig(2);
-    cfg.host_fastforward = opt.fastforward;
+    cfg.sched_mode = opt.schedMode();
     const auto base = harness::runSpmvBaseline(cfg, m, v, true);
     const auto hht = harness::runSpmvHht(cfg, m, v, true);
     Row row;
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     const sparse::DenseVector v =
         workload::randomDenseVector(rng, layer.in_features);
     harness::SystemConfig cfg = harness::defaultConfig(2);
-    cfg.host_fastforward = opt.fastforward;
+    cfg.sched_mode = opt.schedMode();
     cfg.trace_sink = &sink;
     harness::runSpmvHht(cfg, m, v, true);
   });

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   auto config = [&](const char* topo) {
     harness::SystemConfig cfg = harness::defaultConfig(2);
     cfg.memory.policy = mem::ArbiterPolicy::RoundRobin;
-    cfg.host_fastforward = opt.fastforward;
+    cfg.sched_mode = opt.schedMode();
     if (std::strcmp(topo, "flat") != 0) {
       mem::TopologyConfig& t = cfg.memory.topology;
       t.tile_l1_enabled = true;

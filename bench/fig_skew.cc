@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
 
   auto config = [&] {
     harness::SystemConfig cfg = harness::defaultConfig(2);
-    cfg.host_fastforward = opt.fastforward;
+    cfg.sched_mode = opt.schedMode();
     return cfg;
   };
 

@@ -116,7 +116,8 @@ struct TrialOutcome {
 
 TrialOutcome runTrial(const Workload& w, const Trial& t, bool fastforward) {
   harness::SystemConfig cfg = harness::defaultConfig();
-  cfg.host_fastforward = fastforward;
+  cfg.sched_mode =
+      fastforward ? harness::SchedMode::Event : harness::SchedMode::Naive;
   if (t.integrity) {
     cfg.hht.e2e_check = true;
     cfg.hht.poison_containment = true;

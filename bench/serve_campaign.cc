@@ -121,7 +121,7 @@ serve::ServerConfig makeConfig(const benchutil::Options& opt,
                                const ServeOptions& so) {
   serve::ServerConfig cfg;
   cfg.system = harness::defaultConfig();
-  cfg.system.host_fastforward = opt.fastforward;
+  cfg.system.sched_mode = opt.schedMode();
   if (so.fault_ppm > 0) {
     const double rate = static_cast<double>(so.fault_ppm) * 1e-6;
     cfg.system.faults.enabled = true;

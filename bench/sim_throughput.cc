@@ -1,27 +1,25 @@
 // Simulator-throughput benchmark: how fast does the *host* simulate?
 //
-// Three run-loop strategies over the same workload set:
-//   naive: per-cycle reference loop (host_fastforward off)
-//   fast:  quiescence fast-forward (SchedMode::Quiescence)
+// Two run-loop strategies over the same workload set:
+//   naive: per-cycle reference loop (SchedMode::Naive)
 //   event: event-scheduled calendar loop (SchedMode::Event)
-// All passes must produce bit-identical simulation results (final cycles,
+// Both passes must produce bit-identical simulation results (final cycles,
 // wait counters, every stat, the output vector); the binary exits non-zero
 // on any mismatch, so the throughput numbers can never come from a
-// simulator that cheated. By default every mode runs and the chain is
-// gated: fast >= naive and event >= fast on aggregate Mcycles/s
-// (--mode=X restricts to one pass for profiling; --repeat=N takes the
-// minimum wall time of N samples per pass).
+// simulator that cheated. By default both modes run and the chain is
+// gated: event >= naive on aggregate Mcycles/s (--mode=X restricts to one
+// pass for profiling; --repeat=N takes the minimum wall time of N samples
+// per pass).
 //
 // The workload set spans three host-cost regimes, so the aggregate rewards
 // a loop that is fast where skipping is impossible AND where it is easy:
 //   busy:        Fig. 4 SpMV set on a 1-cycle SRAM — some component has
 //                work almost every cycle; skip-hostile.
 //   short-stall: scalar baseline on a 6-cycle SRAM — every load opens a
-//                4-6 cycle hole, below the quiescence loop's minimum
-//                profitable skip; only per-component event scheduling
-//                recovers these.
-//   deep-stall:  scalar baseline and HHT SpMV on a 512-cycle SRAM — long
-//                stalls both accelerated loops must fast-forward.
+//                4-6 cycle hole that only per-component event scheduling
+//                recovers.
+//   deep-stall:  scalar baseline and HHT SpMV on a 2048-cycle SRAM — long
+//                stalls the event loop must jump over.
 //
 // Output: a human table (or --csv) plus BENCH_sim_throughput.json in the
 // current directory, including a per-matrix wall-time breakdown for every
@@ -46,24 +44,12 @@ namespace {
 
 using namespace hht;
 
-enum ModeIdx { kNaive = 0, kFast = 1, kEvent = 2, kNumModes = 3 };
-constexpr const char* kModeNames[kNumModes] = {"naive", "fast", "event"};
+enum ModeIdx { kNaive = 0, kEvent = 1, kNumModes = 2 };
+constexpr const char* kModeNames[kNumModes] = {"naive", "event"};
 
 harness::SystemConfig applyMode(harness::SystemConfig cfg, ModeIdx mode) {
-  switch (mode) {
-    case kNaive:
-      cfg.host_fastforward = false;
-      cfg.sched_mode = harness::SchedMode::Naive;
-      break;
-    case kFast:
-      cfg.host_fastforward = true;
-      cfg.sched_mode = harness::SchedMode::Quiescence;
-      break;
-    default:
-      cfg.host_fastforward = true;
-      cfg.sched_mode = harness::SchedMode::Event;
-      break;
-  }
+  cfg.sched_mode =
+      mode == kNaive ? harness::SchedMode::Naive : harness::SchedMode::Event;
   return cfg;
 }
 
@@ -165,13 +151,12 @@ int main(int argc, char** argv) {
     add("busy", "hht_1buf", s, n, 1, 1);
     add("busy", "hht_2buf", s, n, 1, 2);
   }
-  // short-stall: every scalar load opens a 4-6 cycle hole — too small for
-  // the quiescence loop's minimum profitable skip.
+  // short-stall: every scalar load opens a 4-6 cycle hole.
   for (int s = 10; s <= 90; s += 10) {
     add("short_stall", "baseline_scalar", s, n, 6, 2);
   }
-  // deep-stall: 2048-cycle loads; both accelerated loops must fast-forward
-  // the holes or drown.
+  // deep-stall: 2048-cycle loads; the event loop must jump the holes or
+  // drown.
   add("deep_stall", "baseline_scalar", 30, n_stall, 2048, 2);
   add("deep_stall", "baseline_scalar", 70, n_stall, 2048, 2);
   add("deep_stall", "hht_2buf", 50, n_stall, 2048, 2);
@@ -210,8 +195,6 @@ int main(int argc, char** argv) {
         return true;
       case benchutil::RunMode::kNaive:
         return m == kNaive;
-      case benchutil::RunMode::kFast:
-        return m == kFast;
       default:
         return m == kEvent;
     }
@@ -222,17 +205,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Bit-identity: every accelerated pass must match the reference pass on
-  // every run surface (only checkable when both ran).
+  // Bit-identity: the event pass must match the reference pass on every
+  // run surface (only checkable when both ran).
   bool identical = true;
-  if (passes[kNaive].ran) {
-    for (int m = kFast; m < kNumModes; ++m) {
-      if (!passes[m].ran) continue;
-      for (std::size_t i = 0; i < works.size(); ++i) {
-        identical &= sameResult(passes[m].results[i],
-                                passes[kNaive].results[i], works[i],
-                                kModeNames[m]);
-      }
+  if (passes[kNaive].ran && passes[kEvent].ran) {
+    for (std::size_t i = 0; i < works.size(); ++i) {
+      identical &= sameResult(passes[kEvent].results[i],
+                              passes[kNaive].results[i], works[i], "event");
     }
   }
   if (!identical) {
@@ -242,9 +221,7 @@ int main(int argc, char** argv) {
   }
 
   std::uint64_t total_cycles = 0;
-  const Pass& any =
-      passes[kNaive].ran ? passes[kNaive]
-                         : (passes[kFast].ran ? passes[kFast] : passes[kEvent]);
+  const Pass& any = passes[kNaive].ran ? passes[kNaive] : passes[kEvent];
   std::vector<std::uint64_t> item_cycles(works.size(), 0);
   for (std::size_t i = 0; i < works.size(); ++i) {
     item_cycles[i] = any.results[i].cycles;
@@ -264,9 +241,7 @@ int main(int argc, char** argv) {
     const double ratio = prev_mcps > 0.0 ? cur / prev_mcps : 1.0;
     if (prev_mcps > 0.0 && ratio < 1.0) chain_ok = false;
     std::string name = kModeNames[m];
-    if (m == kNaive) name += " (per-cycle reference)";
-    if (m == kFast) name += " (quiescence skip)";
-    if (m == kEvent) name += " (event calendar)";
+    name += m == kNaive ? " (per-cycle reference)" : " (event calendar)";
     table.addRow({name, harness::fmt(passes[m].wall_s, 3),
                   harness::fmt(cur, 2),
                   prev_mcps > 0.0 ? harness::fmt(ratio) : std::string("-")});
@@ -286,8 +261,7 @@ int main(int argc, char** argv) {
 
   // Per-regime summary: where each loop earns (or pays for) its keep.
   if (opt.mode == benchutil::RunMode::kAll) {
-    harness::Table regimes(
-        {"regime", "cycles", "naive_s", "fast_s", "event_s"});
+    harness::Table regimes({"regime", "cycles", "naive_s", "event_s"});
     const char* kRegimes[3] = {"busy", "short_stall", "deep_stall"};
     for (const char* reg : kRegimes) {
       std::uint64_t c = 0;
@@ -298,7 +272,7 @@ int main(int argc, char** argv) {
         for (int m = 0; m < kNumModes; ++m) w[m] += passes[m].item_s[i];
       }
       regimes.addRow({reg, std::to_string(c), harness::fmt(w[kNaive], 3),
-                      harness::fmt(w[kFast], 3), harness::fmt(w[kEvent], 3)});
+                      harness::fmt(w[kEvent], 3)});
     }
     if (opt.csv) {
       regimes.printCsv(std::cout);
@@ -312,14 +286,10 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write BENCH_sim_throughput.json\n";
     return 1;
   }
-  const char* mode_str = opt.mode == benchutil::RunMode::kAll
-                             ? "all"
-                             : kModeNames[opt.mode == benchutil::RunMode::kNaive
-                                              ? kNaive
-                                              : opt.mode ==
-                                                        benchutil::RunMode::kFast
-                                                    ? kFast
-                                                    : kEvent];
+  const char* mode_str =
+      opt.mode == benchutil::RunMode::kAll    ? "all"
+      : opt.mode == benchutil::RunMode::kNaive ? kModeNames[kNaive]
+                                               : kModeNames[kEvent];
   std::fprintf(f,
                "{\n"
                "  \"workload\": \"spmv_busy_shortstall_deepstall\",\n"
@@ -338,9 +308,7 @@ int main(int argc, char** argv) {
                  kModeNames[m], passes[m].wall_s, mcps(passes[m]));
   }
   const double headline =
-      passes[kEvent].ran ? mcps(passes[kEvent])
-                         : mcps(passes[kFast].ran ? passes[kFast]
-                                                  : passes[kNaive]);
+      mcps(passes[kEvent].ran ? passes[kEvent] : passes[kNaive]);
   const double in_binary_speedup =
       passes[kEvent].ran && passes[kNaive].ran
           ? mcps(passes[kEvent]) / mcps(passes[kNaive])
@@ -362,8 +330,7 @@ int main(int argc, char** argv) {
   // bit_identical reports whether the cross-pass comparison actually ran
   // (it exits above on mismatch): false here only means a --mode run had
   // nothing to compare against.
-  const bool identity_checked =
-      passes[kNaive].ran && (passes[kFast].ran || passes[kEvent].ran);
+  const bool identity_checked = passes[kNaive].ran && passes[kEvent].ran;
   std::fprintf(f,
                "  ],\n"
                "  \"headline_mcycles_per_s\": %.3f,\n"
@@ -377,8 +344,8 @@ int main(int argc, char** argv) {
   std::cout << "wrote BENCH_sim_throughput.json\n";
 
   if (opt.mode == benchutil::RunMode::kAll && !chain_ok) {
-    std::cerr << "sim_throughput: mode chain regressed (each faster mode "
-                 "must be >= 1.0x the previous on aggregate Mcycles/s)\n";
+    std::cerr << "sim_throughput: mode chain regressed (the event loop "
+                 "must be >= 1.0x naive on aggregate Mcycles/s)\n";
     return 1;
   }
   return 0;

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
 
       harness::SystemConfig cfg = harness::defaultConfig(2);
       cfg.timing.clock_hz = 50e6;  // §5.5 synthesis clock
-      cfg.host_fastforward = opt.fastforward;
+      cfg.sched_mode = opt.schedMode();
       const auto base = harness::runSpmvBaseline(cfg, m, v, true);
       const auto hht = harness::runSpmvHht(cfg, m, v, true);
       row.base = base.cycles;

@@ -49,7 +49,7 @@ struct HhtConfig {
   /// anywhere between staging and delivery (FIFO cell, merge path, the
   /// delivery port itself) raises FaultCause::StreamCheck at the
   /// architectural boundary instead of shipping silently. Excluded from the
-  /// snapshot config fingerprint (same discipline as host_fastforward):
+  /// snapshot config fingerprint (same discipline as sched_mode):
   /// with no corruption the channel never changes an architectural outcome.
   bool e2e_check = false;
   /// Poison containment (DESIGN.md §15): an ECC-uncorrectable *value* fetch

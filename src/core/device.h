@@ -31,7 +31,7 @@ class HhtDevice : public mem::MmioDevice, public sim::FaultSink {
   /// Producing, or holding undelivered data.
   virtual bool busy() const = 0;
 
-  /// Quiescence protocol (DESIGN.md §11): earliest future cycle (> now) at
+  /// Next-event protocol (DESIGN.md §11): earliest future cycle (> now) at
   /// which this device can change state, perform an event, or needs its
   /// tick for side effects; sim::kNeverCycle when fully idle. The default
   /// (tick me every cycle) is always correct, merely never skippable —

@@ -56,7 +56,7 @@ class Engine {
   /// queue (the queue and buffers may still hold undelivered slots).
   virtual bool done() const = 0;
 
-  /// Quiescence protocol (DESIGN.md §11): credit `n` ticks the device
+  /// Next-event protocol (DESIGN.md §11): credit `n` ticks the device
   /// skipped over. Engines whose tick advances free-running state even
   /// while idle (the comparator recurrence phase) override this so a
   /// skipping run serializes byte-identically to a naive one.

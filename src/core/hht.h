@@ -33,7 +33,7 @@ class Hht final : public HhtDevice {
   /// CPU-side buffers.
   void tick(sim::Cycle now) override;
 
-  /// Quiescence protocol (DESIGN.md §11). The device is skippable only
+  /// Next-event protocol (DESIGN.md §11). The device is skippable only
   /// once the engine is done, the emission queue is drained, the tail
   /// buffer is flushed and the BE's memory traffic has fully drained
   /// (a done engine may still hold speculative reads in flight whose

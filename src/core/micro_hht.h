@@ -41,7 +41,7 @@ class MicroHht final : public HhtDevice {
   void tick(sim::Cycle now) override;
   bool busy() const override;
 
-  /// Quiescence protocol (DESIGN.md §11): the front-end has no autonomous
+  /// Next-event protocol (DESIGN.md §11): the front-end has no autonomous
   /// per-cycle work, so skippability delegates to the micro-core (whose
   /// Busy stretches — long divides in address arithmetic — are exactly the
   /// firmware's dead cycles).

@@ -64,7 +64,7 @@ class Core {
 
   /// Earliest future cycle (> now) at which this core can change state or
   /// perform an event, assuming nothing else in the system acts first.
-  /// Returns sim::kNeverCycle when halted (quiescence protocol, DESIGN.md
+  /// Returns sim::kNeverCycle when halted (next-event protocol, DESIGN.md
   /// §11). A return of now + 1 means "not quiescent — tick me".
   Cycle nextEventCycle(Cycle now) const;
 

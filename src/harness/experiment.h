@@ -1,6 +1,5 @@
 #pragma once
 
-#include "harness/multi_tile.h"
 #include "harness/system.h"
 
 namespace hht::harness {

@@ -55,10 +55,10 @@ void MemorySystemConfig::validate() const {
     throw SimError(ErrorKind::Config, "mem",
                    "MMIO window overlaps the SRAM address range");
   }
-  if (num_tiles < 1 || num_tiles > 16) {
+  if (num_tiles < 1 || num_tiles > kMaxTiles) {
     throw SimError(ErrorKind::Config, "mem",
-                   "num_tiles must be in [1, 16], got " +
-                       std::to_string(num_tiles));
+                   "num_tiles must be in [1, " + std::to_string(kMaxTiles) +
+                       "], got " + std::to_string(num_tiles));
   }
   // All MMIO windows (per-tile plus the optional shared work-queue window)
   // must fit below the top of the address space.
@@ -857,7 +857,7 @@ Cycle MemorySystem::nextEventCycle(Cycle now) const {
   }
   Cycle earliest = sim::kNeverCycle;
   if (config_.scrub_enabled) {
-    // Quiescence fast-forward must land exactly on patrol ticks: a skipped
+    // The event loop must land exactly on patrol ticks: a skipped
     // stretch may not jump over a due scrub read.
     earliest = std::max(next_scrub_cycle_, now + 1);
   }

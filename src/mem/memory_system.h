@@ -37,6 +37,7 @@ struct MemorySystemConfig {
   /// indices tile*2 and tile*2+1) and owns its own MMIO window at
   /// mmio_base + tile*mmio_size. 1 = the paper's single-tile machine.
   std::uint32_t num_tiles = 1;
+  static constexpr std::uint32_t kMaxTiles = 16;
   /// CpuPriority starvation bound: maximum consecutive CPU-role grants
   /// issued while an HHT-role request was left waiting before the arbiter
   /// forces one grant to the oldest waiting HHT request. Unbounded CPU
@@ -61,7 +62,7 @@ struct MemorySystemConfig {
   /// cycles using *spare* arbitration slots only (demand traffic and the
   /// prefetcher always win), correcting latent single-bit flips before a
   /// second flip in the same word makes them uncorrectable. Excluded from
-  /// the snapshot config fingerprint (same discipline as host_fastforward):
+  /// the snapshot config fingerprint (same discipline as sched_mode):
   /// scrubbing is an integrity knob, not a different machine, and with no
   /// latent faults registered it never changes an architectural outcome.
   bool scrub_enabled = false;
@@ -72,7 +73,7 @@ struct MemorySystemConfig {
   /// extra MMIO window at index num_tiles for a ChunkQueueDevice that
   /// tiles claim row chunks from. Architectural (the claim schedule is
   /// part of machine behaviour), so it is covered by the snapshot config
-  /// fingerprint — unlike host-only knobs such as host_fastforward.
+  /// fingerprint — unlike host-only knobs such as sched_mode.
   bool work_queue_enabled = false;
   /// Memory topology (DESIGN.md §17): per-tile L1 + interleaved shared
   /// channels behind latency/bandwidth links. The default is the flat
@@ -283,7 +284,7 @@ class MemorySystem {
     return !completed_[requesterIndex(role, tile)].empty();
   }
 
-  /// Quiescence protocol (DESIGN.md §11): first cycle (> now) at which a
+  /// Next-event protocol (DESIGN.md §11): first cycle (> now) at which a
   /// consumer polling takeResponse(id) can succeed. A completed response is
   /// consumable next cycle; an in-flight one the cycle after its latency
   /// elapses (components tick before the memory system, so the grant cycle

@@ -43,9 +43,9 @@ class Watchdog {
     return period_ != 0 && (now & interval_mask_) == 0;
   }
 
-  /// Called instead of per-cycle sampling when the run loop is about to
-  /// fast-forward across a quiescent stretch (during which the progress sum
-  /// cannot change). Performs the one state-updating observation the naive
+  /// Called instead of per-cycle sampling when the event loop is about to
+  /// jump across a stretch in which no component has work (so the progress
+  /// sum cannot change). Performs the one state-updating observation the naive
   /// loop would have made at the first sampling point after `now`, then
   /// returns the aligned cycle at which the watchdog would fire if the sum
   /// stays flat. The loop must not skip past the returned cycle: simulating

@@ -161,9 +161,10 @@ void DifferentialOracle::onDelivered(sim::Cycle now, bool is_row_end,
   }
 }
 
-void DifferentialOracle::onCycle(harness::System& sys, sim::Cycle now) {
+void DifferentialOracle::onCycle(harness::MultiTileSystem& sys,
+                                 sim::Cycle now) {
   if (!occupancyCheckDue(now)) return;
-  const core::Hht* hht = sys.asicHht();
+  const core::Hht* hht = sys.asicHht(0);
   if (hht == nullptr) return;
   checkOccupancy(*hht, now);
 }
@@ -252,14 +253,19 @@ void MultiTileOracle::attach(harness::MultiTileSystem& sys) {
                             " expected streams, system has " +
                             std::to_string(sys.numTiles()) + " tiles");
   }
+  if (sys.asicHht(0) == nullptr) {
+    throw sim::SimError(sim::ErrorKind::Config, "oracle",
+                        "MultiTileOracle taps the ASIC HHT; this machine "
+                        "runs the programmable device");
+  }
   for (std::uint32_t t = 0; t < sys.numTiles(); ++t) {
-    sys.hht(t).addStreamTap(&tiles_[t]);
+    sys.asicHht(t)->addStreamTap(&tiles_[t]);
   }
 }
 
 void MultiTileOracle::detach(harness::MultiTileSystem& sys) {
   for (std::uint32_t t = 0; t < sys.numTiles() && t < tiles_.size(); ++t) {
-    sys.hht(t).removeStreamTap(&tiles_[t]);
+    sys.asicHht(t)->removeStreamTap(&tiles_[t]);
   }
 }
 
@@ -280,7 +286,7 @@ void MultiTileOracle::onCycle(harness::MultiTileSystem& sys, sim::Cycle now) {
   }
   for (std::uint32_t t = 0; t < sys.numTiles() && t < tiles_.size(); ++t) {
     if (tiles_[t].occupancyCheckDue(now)) {
-      tiles_[t].checkOccupancy(sys.hht(t), now);
+      tiles_[t].checkOccupancy(*sys.asicHht(t), now);
     }
   }
 }

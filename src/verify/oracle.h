@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/multi_tile.h"
 #include "harness/system.h"
 #include "sim/probe.h"
 #include "sparse/csr.h"
@@ -91,14 +90,14 @@ std::vector<StreamEvent> expectedFlatStream(const sparse::BitVectorMatrix& m,
 
 /// Differential co-simulation oracle.
 ///
-/// Runs in lockstep with harness::System via two hooks:
+/// Runs in lockstep with a single-tile harness::System via two hooks:
 ///  - sim::StreamTap (install with Hht::addStreamTap): every element the FE
 ///    delivers to the CPU is compared against the expected stream; the
 ///    first mismatch is latched as a Divergence with its cycle window.
 ///  - harness::RunObserver (pass to System::run): every `check_interval`
-///    cycles the FIFO occupancy invariants are checked against the
-///    configured hardware sizes (staging <= BLEN, published buffers <= N,
-///    emission queue <= its depth).
+///    cycles the FIFO occupancy invariants of tile 0's device are checked
+///    against the configured hardware sizes (staging <= BLEN, published
+///    buffers <= N, emission queue <= its depth).
 ///
 /// After the run, checkFinal() verifies the delivered-element count and the
 /// bit-exact output vector. The oracle never throws on divergence — it
@@ -112,11 +111,11 @@ class DifferentialOracle : public sim::StreamTap, public harness::RunObserver {
 
   void onDelivered(sim::Cycle now, bool is_row_end,
                    std::uint32_t bits) override;
-  void onCycle(harness::System& sys, sim::Cycle now) override;
+  void onCycle(harness::MultiTileSystem& sys, sim::Cycle now) override;
 
   /// The FIFO-occupancy invariant check against `hht`'s own configured
   /// sizes, independent of where the device lives — onCycle delegates here
-  /// for a System's device, and MultiTileOracle calls it per tile. Latches
+  /// for tile 0's device, and MultiTileOracle calls it per tile. Latches
   /// (never throws) like every other check.
   void checkOccupancy(const core::Hht& hht, sim::Cycle now);
 
@@ -168,7 +167,7 @@ class DifferentialOracle : public sim::StreamTap, public harness::RunObserver {
 /// Divergences latch per tile; the shared output vector is checked once
 /// globally in checkFinal. Like the single-tile oracle it never throws —
 /// campaign drivers collect the report.
-class MultiTileOracle : public harness::MultiTileObserver {
+class MultiTileOracle : public harness::RunObserver {
  public:
   /// Builds the expected events of one claimed row window [row_begin,
   /// row_begin + row_count) — wrap the matching expected*StreamShard
@@ -191,8 +190,9 @@ class MultiTileOracle : public harness::MultiTileObserver {
   MultiTileOracle(std::uint32_t num_tiles, RowStreamFn row_stream,
                   sim::Cycle check_interval = 64);
 
-  /// Install tile t's oracle as a stream tap on sys.hht(t). Pair with
-  /// detach() before the system (or this oracle) is destroyed.
+  /// Install tile t's oracle as a stream tap on sys.asicHht(t) (the ASIC
+  /// device; a programmable machine is rejected with SimError(Config)).
+  /// Pair with detach() before the system (or this oracle) is destroyed.
   void attach(harness::MultiTileSystem& sys);
   void detach(harness::MultiTileSystem& sys);
 

@@ -155,12 +155,6 @@ TEST(BenchUtil, ParsesModeAndRepeat) {
     EXPECT_EQ(opt.mode, RunMode::kNaive);
     EXPECT_EQ(opt.repeat, 1u) << "--repeat default is a single sample";
   }
-  {
-    Options opt;
-    std::string error;
-    ASSERT_EQ(tryParseModeArgs({"--mode=fast"}, opt, error), ParseStatus::kOk);
-    EXPECT_EQ(opt.mode, RunMode::kFast);
-  }
   {  // Default: run every mode.
     Options opt;
     std::string error;
@@ -183,6 +177,14 @@ TEST(BenchUtil, RejectsBadModeAndRepeatZero) {
     Options opt;
     std::string error;
     EXPECT_EQ(tryParseModeArgs({"--mode=turbo"}, opt, error),
+              ParseStatus::kError);
+    EXPECT_NE(error.find("--mode"), std::string::npos) << error;
+  }
+  {  // The quiescence loop is gone; its old mode name must not silently
+     // fall back to another loop.
+    Options opt;
+    std::string error;
+    EXPECT_EQ(tryParseModeArgs({"--mode=fast"}, opt, error),
               ParseStatus::kError);
     EXPECT_NE(error.find("--mode"), std::string::npos) << error;
   }

@@ -4,9 +4,14 @@
 // do not match this machine or this program.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
+#include <set>
+#include <string>
 
 #include "harness/experiment.h"
+#include "mem/work_queue.h"
 #include "sparse/reference.h"
 #include "workload/synthetic.h"
 
@@ -25,9 +30,9 @@ class CheckpointAt : public RunObserver {
   CheckpointAt(const isa::Program& program, Cycle at)
       : program_(&program), at_(at) {}
 
-  void onCycle(System& sys, Cycle now) override {
+  void onCycle(MultiTileSystem& sys, Cycle now) override {
     if (now == at_ && snapshot_.empty()) {
-      snapshot_ = sys.checkpoint(*program_, now + 1);
+      snapshot_ = static_cast<System&>(sys).checkpoint(*program_, now + 1);
       resume_at_ = now + 1;
     }
   }
@@ -214,6 +219,29 @@ TEST(Checkpoint, RestoreRejectsSnapshotFromNewerVersion) {
   }
 }
 
+// The single-tile and multi-tile layouts merged in v8; a v7 snapshot (of
+// either former layout) must be refused as an unsupported version rather
+// than parsed with the merged layout.
+TEST(Checkpoint, RestoreRejectsV7Snapshot) {
+  const SystemConfig cfg = defaultConfig();
+  System sys(cfg);
+  const Workload w = prepare(sys, 0xC4F2);
+  sys.cpu().loadProgram(w.program);
+  std::vector<std::uint8_t> snap = sys.checkpoint(w.program, 0);
+  const std::uint32_t v7 = 7;
+  std::memcpy(snap.data() + 4, &v7, sizeof v7);
+
+  System target(cfg);
+  try {
+    target.restore(snap, w.program);
+    ADD_FAILURE() << "restore accepted a v7 snapshot";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Checkpoint) << e.what();
+    EXPECT_NE(std::string(e.what()).find("!= supported"), std::string::npos)
+        << e.what();
+  }
+}
+
 /// Observer that checkpoints once, `after` cycles into the degraded
 /// fallback loop (v4 snapshots record the mid-degraded continuation).
 class CheckpointInDegraded : public RunObserver {
@@ -221,10 +249,10 @@ class CheckpointInDegraded : public RunObserver {
   CheckpointInDegraded(const isa::Program& fallback, Cycle after)
       : fallback_(&fallback), after_(after) {}
 
-  void onCycle(System& sys, Cycle now) override {
+  void onCycle(MultiTileSystem& sys, Cycle now) override {
     if (!sys.degradedActive() || !snapshot_.empty()) return;
     if (++degraded_cycles_ == after_) {
-      snapshot_ = sys.checkpoint(*fallback_, now + 1);
+      snapshot_ = static_cast<System&>(sys).checkpoint(*fallback_, now + 1);
       resume_at_ = now + 1;
     }
   }
@@ -327,6 +355,144 @@ TEST(Checkpoint, MidDegradedSnapshotRejectsTheOriginalProgram) {
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::Checkpoint) << e.what();
   }
+}
+
+// ---- prefix-truncation sweep over real snapshots ----
+
+/// Cut points for a prefix sweep of `snap`: every byte of the first
+/// `header` bytes, a window around every section tag (the boundaries where
+/// one component's reader hands over to the next), and a stride through
+/// the body.
+std::set<std::size_t> cutPoints(const std::vector<std::uint8_t>& snap,
+                                std::size_t header, std::size_t stride) {
+  std::set<std::size_t> cuts;
+  for (std::size_t i = 0; i < std::min(header, snap.size()); ++i) {
+    cuts.insert(i);
+  }
+  for (const char* tag : {"MEMS", "WKQ7", "HHTD", "CORE"}) {
+    const auto* t = reinterpret_cast<const std::uint8_t*>(tag);
+    for (auto it = std::search(snap.begin(), snap.end(), t, t + 4);
+         it != snap.end(); it = std::search(it + 1, snap.end(), t, t + 4)) {
+      const auto pos = static_cast<std::size_t>(it - snap.begin());
+      for (std::size_t i = pos >= 8 ? pos - 8 : 0; i < pos + 24; ++i) {
+        cuts.insert(i);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < snap.size(); i += stride) cuts.insert(i);
+  for (std::size_t i = snap.size() >= 16 ? snap.size() - 16 : 0;
+       i < snap.size(); ++i) {
+    cuts.insert(i);
+  }
+  std::erase_if(cuts, [&](std::size_t c) { return c >= snap.size(); });
+  return cuts;
+}
+
+/// Restore every proper prefix of `snap` through `restore` (which builds a
+/// fresh machine each call): each must end in SimError(Checkpoint) — never
+/// a crash, never another exception type (an over-allocation would surface
+/// as std::bad_alloc or std::length_error), never silent acceptance.
+void expectEveryPrefixRejected(
+    const std::vector<std::uint8_t>& snap,
+    const std::function<void(const std::vector<std::uint8_t>&)>& restore) {
+  std::size_t tried = 0;
+  for (const std::size_t cut : cutPoints(snap, 256, 61)) {
+    const std::vector<std::uint8_t> prefix(
+        snap.begin(), snap.begin() + static_cast<std::ptrdiff_t>(cut));
+    try {
+      restore(prefix);
+      ADD_FAILURE() << "restore accepted a " << cut << "-byte prefix of a "
+                    << snap.size() << "-byte snapshot";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::Checkpoint)
+          << "cut at " << cut << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "cut at " << cut << " threw a non-SimError: "
+                    << e.what();
+    }
+    ++tried;
+  }
+  EXPECT_GT(tried, 256u);
+}
+
+/// Small-SRAM Table-1 machine: keeps the snapshots small enough to sweep.
+SystemConfig smallSramConfig() {
+  SystemConfig cfg = defaultConfig();
+  cfg.memory.sram_bytes = 64u << 10;
+  return cfg;
+}
+
+TEST(Checkpoint, EveryPrefixOfAMidDegradedSnapshotIsRejected) {
+  SystemConfig cfg = smallSramConfig();
+  cfg.faults.enabled = true;
+  cfg.faults.seed = 43;
+  cfg.faults.fifo_corrupt_rate = 1.0;  // deterministically forces fallback
+
+  sim::Rng rng(22);
+  const CsrMatrix m = workload::randomCsr(rng, 24, 24, 0.4);
+  const DenseVector v = workload::randomDenseVector(rng, 24);
+  System sys(cfg);
+  const kernels::SpmvLayout layout = loadSpmv(sys, m, v);
+  const isa::Program program =
+      kernels::spmvScalarHht(layout, cfg.memory.mmio_base);
+  const isa::Program fallback = kernels::spmvScalarBaseline(layout);
+  CheckpointInDegraded observer(fallback, 100);
+  ASSERT_TRUE(sys.run(program, layout.y, layout.num_rows, 500'000'000,
+                      &fallback, &observer)
+                  .degraded);
+  const std::vector<std::uint8_t>& snap = observer.snapshot();
+  ASSERT_FALSE(snap.empty());
+
+  System whole(cfg);
+  whole.restore(snap, fallback);  // the untruncated snapshot restores
+  EXPECT_TRUE(whole.degradedActive());
+  expectEveryPrefixRejected(snap, [&](const std::vector<std::uint8_t>& p) {
+    System target(cfg);
+    target.restore(p, fallback);
+  });
+}
+
+TEST(Checkpoint, EveryPrefixOfAFourTileChunkQueueSnapshotIsRejected) {
+  SystemConfig cfg = smallSramConfig();
+  cfg.memory.num_tiles = 4;
+  cfg.memory.work_queue_enabled = true;
+  sim::Rng rng(0xC4F1);
+  const CsrMatrix m = workload::randomCsr(rng, 48, 48, 0.3);
+  const DenseVector v = workload::randomDenseVector(rng, 48);
+
+  MultiTileSystem sys(cfg);
+  const kernels::SpmvLayout layout =
+      loadSpmv(sys.arena(), sys.memory().sram(), m, v);
+  sys.workQueue()->seed(dealRowChunks(layout.num_rows, 4, 4));
+  std::vector<isa::Program> programs;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    programs.push_back(kernels::spmvVectorHhtChunkQueue(
+        layout, sys.mmioBaseOf(t), sys.workQueueBase() + 4 * t));
+  }
+  class CheckpointMidRun : public RunObserver {
+   public:
+    CheckpointMidRun(const std::vector<isa::Program>& programs, Cycle at)
+        : programs_(&programs), at_(at) {}
+    void onCycle(MultiTileSystem& sys, Cycle now) override {
+      if (now == at_) snapshot = sys.checkpoint(*programs_, now + 1);
+    }
+    std::vector<std::uint8_t> snapshot;
+
+   private:
+    const std::vector<isa::Program>* programs_;
+    Cycle at_;
+  };
+  CheckpointMidRun observer(programs, 300);
+  sys.run(programs, layout.y, layout.num_rows, 500'000'000, &observer);
+  const std::vector<std::uint8_t>& snap = observer.snapshot;
+  ASSERT_FALSE(snap.empty()) << "run finished before the checkpoint";
+
+  MultiTileSystem whole(cfg);
+  EXPECT_EQ(whole.restore(snap, programs), 301u);
+  expectEveryPrefixRejected(snap, [&](const std::vector<std::uint8_t>& p) {
+    MultiTileSystem target(cfg);
+    target.restore(p, programs);
+  });
 }
 
 }  // namespace

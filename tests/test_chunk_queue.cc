@@ -318,7 +318,7 @@ TEST(ChunkQueue, CheckpointRestoreResumeRoundTripsQueueState) {
       uninterrupted.run(w.programs, w.layout.y, w.layout.num_rows);
   ASSERT_GT(base.cycles, 200u);
 
-  class CheckpointAt : public MultiTileObserver {
+  class CheckpointAt : public RunObserver {
    public:
     CheckpointAt(const std::vector<isa::Program>& programs, Cycle at)
         : programs_(&programs), at_(at) {}

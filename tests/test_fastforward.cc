@@ -1,11 +1,10 @@
 // Run-loop equivalence verification (DESIGN.md §11, §16): the host-side
-// acceleration strategies — quiescence fast-forward and the event-scheduled
-// calendar loop — must be invisible in every simulated result. Same cycle
-// counts, same merged stats map, same output bits, same snapshot bytes —
-// for every engine, with and without fault injection, with the patrol
-// scrubber, under an oracle stream tap, across a checkpoint/restore, and
-// for every SweepRunner jobs value. Every A/B here is really an A/B/C:
-// per-cycle naive vs quiescence vs event calendar.
+// event-scheduled calendar loop must be invisible in every simulated
+// result. Same cycle counts, same merged stats map, same output bits, same
+// snapshot bytes — for every engine, with and without fault injection,
+// with the patrol scrubber, under an oracle stream tap, across a
+// checkpoint/restore, and for every SweepRunner jobs value. Every A/B here
+// is per-cycle naive vs event calendar.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -43,24 +42,17 @@ void expectIdentical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.stats.all(), b.stats.all()) << label;
 }
 
-/// Run `driver` under all three run-loop strategies — per-cycle naive,
-/// quiescence fast-forward, event-scheduled calendar (everything else
-/// identical) — and require bit-identical outcomes.
+/// Run `driver` under both run-loop strategies — per-cycle naive and
+/// event-scheduled calendar (everything else identical) — and require
+/// bit-identical outcomes.
 template <typename Driver>
 void abFastForward(const char* label, const SystemConfig& cfg,
                    Driver&& driver) {
   SystemConfig naive = cfg;
-  naive.host_fastforward = false;
   naive.sched_mode = SchedMode::Naive;
-  SystemConfig quiescence = cfg;
-  quiescence.host_fastforward = true;
-  quiescence.sched_mode = SchedMode::Quiescence;
   SystemConfig event = cfg;
-  event.host_fastforward = true;
   event.sched_mode = SchedMode::Event;
   const RunResult ref = driver(naive);
-  expectIdentical(driver(quiescence), ref,
-                  (std::string(label) + "/quiescence").c_str());
   expectIdentical(driver(event), ref,
                   (std::string(label) + "/event").c_str());
 }
@@ -148,8 +140,7 @@ TEST(FastForward, FaultInjectedRunsAreBitIdenticalWithAndWithoutSkipping) {
 TEST(FastForward, ScrubbedRunsAreBitIdenticalAcrossRunLoops) {
   // The patrol scrubber posts periodic background work (one ECC word per
   // scrub_period); the event loop must wake for every patrol read even in
-  // otherwise-quiescent stretches, and the quiescence loop must refuse to
-  // skip across one.
+  // otherwise-quiescent stretches.
   SystemConfig cfg = defaultConfig();
   cfg.memory.scrub_enabled = true;
   cfg.memory.scrub_period = 16;
@@ -170,8 +161,8 @@ TEST(FastForward, ScrubbedRunsAreBitIdenticalAcrossRunLoops) {
 TEST(FastForward, OracleTappedRunsAreIdenticalAcrossRunLoops) {
   // A stream tap forces per-cycle device ticking in the event loop (taps
   // are per-cycle observations); the oracle's verdict, the delivered
-  // element count and the finish cycle must still be identical across all
-  // three run loops, for every engine kind.
+  // element count and the finish cycle must still be identical across both
+  // run loops, for every engine kind.
   const Operands ops = operands(0xFF'08);
   for (const verify::EngineKind kind :
        {verify::EngineKind::Gather, verify::EngineKind::MergeV1,
@@ -183,22 +174,16 @@ TEST(FastForward, OracleTappedRunsAreIdenticalAcrossRunLoops) {
     c.v = ops.v;
     c.sv = ops.sv;
     c.cfg = defaultConfig();
-    c.cfg.host_fastforward = false;
     c.cfg.sched_mode = SchedMode::Naive;
     const verify::CosimReport ref = verify::runCosim(c);
     ASSERT_TRUE(ref.ok) << verify::engineKindName(kind) << ": "
                         << ref.describe();
-    c.cfg.host_fastforward = true;
-    c.cfg.sched_mode = SchedMode::Quiescence;
-    const verify::CosimReport quiesced = verify::runCosim(c);
     c.cfg.sched_mode = SchedMode::Event;
     const verify::CosimReport evented = verify::runCosim(c);
-    for (const verify::CosimReport* rep : {&quiesced, &evented}) {
-      EXPECT_TRUE(rep->ok) << verify::engineKindName(kind) << ": "
-                           << rep->describe();
-      EXPECT_EQ(rep->cycles, ref.cycles) << verify::engineKindName(kind);
-      EXPECT_EQ(rep->elements, ref.elements) << verify::engineKindName(kind);
-    }
+    EXPECT_TRUE(evented.ok) << verify::engineKindName(kind) << ": "
+                            << evented.describe();
+    EXPECT_EQ(evented.cycles, ref.cycles) << verify::engineKindName(kind);
+    EXPECT_EQ(evented.elements, ref.elements) << verify::engineKindName(kind);
   }
 }
 
@@ -232,9 +217,9 @@ Workload prepareBaseline(System& sys, std::uint64_t seed) {
 
 TEST(FastForward, SkipsEngageOnStallHeavyWorkload) {
   SystemConfig on = stallHeavyConfig();
-  on.host_fastforward = true;
+  on.sched_mode = SchedMode::Event;
   SystemConfig off = on;
-  off.host_fastforward = false;
+  off.sched_mode = SchedMode::Naive;
 
   System fast(on);
   const Workload wf = prepareBaseline(fast, 0xFF'04);
@@ -262,7 +247,7 @@ TEST(FastForward, TraceSinkDisablesSkippingWithoutChangingTheMachine) {
   // no-sink run. This is the no-sink A/B for the observability layer —
   // tracing is a pure read, never a perturbation.
   SystemConfig plain = stallHeavyConfig();
-  plain.host_fastforward = true;
+  plain.sched_mode = SchedMode::Event;
 
   System fast(plain);
   const Workload wf = prepareBaseline(fast, 0xFF'06);
@@ -294,9 +279,9 @@ class CheckpointAt : public RunObserver {
   CheckpointAt(const isa::Program& program, Cycle at)
       : program_(&program), at_(at) {}
 
-  void onCycle(System& sys, Cycle now) override {
+  void onCycle(MultiTileSystem& sys, Cycle now) override {
     if (now == at_ && snapshot_.empty()) {
-      snapshot_ = sys.checkpoint(*program_, now + 1);
+      snapshot_ = static_cast<System&>(sys).checkpoint(*program_, now + 1);
       resume_at_ = now + 1;
     }
   }
@@ -317,7 +302,7 @@ TEST(FastForward, ResumeSkipsAcrossTheRestoredRegionAndMatchesNaive) {
   // the resumed half skips, and the combined result must still equal the
   // uninterrupted run.
   SystemConfig cfg = stallHeavyConfig();
-  cfg.host_fastforward = true;
+  cfg.sched_mode = SchedMode::Event;
 
   System base_sys(cfg);
   const Workload w = prepareBaseline(base_sys, 0xFF'05);
@@ -354,7 +339,6 @@ TEST(FastForward, RestoreIsRunLoopAgnostic) {
   // only differ in host time, never in what the machine does after any
   // architectural state.
   SystemConfig naive_cfg = stallHeavyConfig();
-  naive_cfg.host_fastforward = false;
   naive_cfg.sched_mode = SchedMode::Naive;
 
   System base_sys(naive_cfg);
@@ -372,15 +356,11 @@ TEST(FastForward, RestoreIsRunLoopAgnostic) {
 
   struct ModeCase {
     const char* name;
-    bool ff;
     SchedMode mode;
   };
-  for (const ModeCase mc : {ModeCase{"restore-naive", false, SchedMode::Naive},
-                            ModeCase{"restore-quiescence", true,
-                                     SchedMode::Quiescence},
-                            ModeCase{"restore-event", true, SchedMode::Event}}) {
+  for (const ModeCase mc : {ModeCase{"restore-naive", SchedMode::Naive},
+                            ModeCase{"restore-event", SchedMode::Event}}) {
     SystemConfig rc = stallHeavyConfig();
-    rc.host_fastforward = mc.ff;
     rc.sched_mode = mc.mode;
     System resumed_sys(rc);
     const Cycle start = resumed_sys.restore(observer.snapshot(), w2.program);

@@ -1,11 +1,12 @@
 // Multi-tile scale-out tests (DESIGN.md §13): N-tile sharded kernels are
 // bit-identical to the single-tile System for SpMV and both SpMSpV
 // variants under both partitioners; the single-tile robustness features
-// (checkpoint/restore, differential oracle, per-tile stall profiles,
-// quiescence fast-forward) all carry over to a 4-tile system.
+// (checkpoint/restore, differential oracle, per-tile stall profiles, the
+// event-calendar loop) all carry over to multi-tile systems.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -185,7 +186,7 @@ ShardedWorkload prepare(MultiTileSystem& sys, std::uint64_t seed) {
 }
 
 /// Observer that checkpoints the running MultiTileSystem once, at `at`.
-class CheckpointAt : public MultiTileObserver {
+class CheckpointAt : public RunObserver {
  public:
   CheckpointAt(const std::vector<isa::Program>& programs, Cycle at)
       : programs_(&programs), at_(at) {}
@@ -364,9 +365,9 @@ TEST(MultiTile, FastForwardIsBitIdenticalOn4Tiles) {
   const sparse::DenseVector v = workload::randomDenseVector(rng, 96);
 
   SystemConfig on = scaleConfig(4);
-  on.host_fastforward = true;
+  on.sched_mode = SchedMode::Event;
   SystemConfig off = scaleConfig(4);
-  off.host_fastforward = false;
+  off.sched_mode = SchedMode::Naive;
   const RunResult fast =
       runSpmvHhtSharded(on, 4, Partition::NnzBalanced, m, v, true);
   const RunResult naive =
@@ -377,6 +378,151 @@ TEST(MultiTile, FastForwardIsBitIdenticalOn4Tiles) {
   EXPECT_EQ(fast.hht_wait_cycles, naive.hht_wait_cycles);
   EXPECT_EQ(fast.stats.all(), naive.stats.all());
   expectSameY(fast.y, naive.y);
+}
+
+/// Memory/distribution variants the event-loop coverage sweeps.
+enum class Variant { kFlat, kHier, kChunkQueue };
+
+/// One sharded (or chunk-queue) SpMV machine, ready to run.
+struct Machine {
+  std::unique_ptr<MultiTileSystem> sys;
+  kernels::SpmvLayout layout;
+  std::vector<isa::Program> programs;
+};
+
+Machine buildMachine(std::uint32_t tiles, std::uint32_t workers,
+                     Variant variant, SchedMode mode,
+                     const sparse::CsrMatrix& m, const sparse::DenseVector& v) {
+  SystemConfig cfg =
+      variant == Variant::kHier ? hierConfig(tiles) : scaleConfig(tiles);
+  cfg.memory.work_queue_enabled = variant == Variant::kChunkQueue;
+  cfg.tile_workers = workers;
+  cfg.sched_mode = mode;
+  Machine mc;
+  mc.sys = std::make_unique<MultiTileSystem>(cfg);
+  MultiTileSystem& sys = *mc.sys;
+  mc.layout = loadSpmv(sys.arena(), sys.memory().sram(), m, v);
+  if (variant == Variant::kChunkQueue) {
+    sys.workQueue()->seed(dealRowChunks(mc.layout.num_rows, tiles, 8));
+  }
+  const auto shards = workload::partitionRowsNnzBalanced(m, tiles);
+  for (std::uint32_t t = 0; t < tiles; ++t) {
+    mc.programs.push_back(
+        variant == Variant::kChunkQueue
+            ? kernels::spmvVectorHhtChunkQueue(mc.layout, sys.mmioBaseOf(t),
+                                               sys.workQueueBase() + 4 * t)
+            : kernels::spmvVectorHhtShard(mc.layout, shards[t],
+                                          sys.mmioBaseOf(t)));
+  }
+  return mc;
+}
+
+TEST(MultiTile, EventLoopMatchesNaiveAcrossTilesWorkersAndTopologies) {
+  // The event calendar is tile-generic (2N+1 slots); it must reproduce the
+  // naive loop's output bits, merged stats and snapshot bytes — at the end
+  // of the run and mid-run, where lazily-skipped components must have been
+  // credited exactly — for every tile count, serial and threaded tile
+  // phases, and the flat, hierarchical and chunk-queue machines.
+  sim::Rng rng(0x4740);
+  const sparse::CsrMatrix m = workload::randomCsr(rng, 64, 64, 0.2);
+  const sparse::DenseVector v = workload::randomDenseVector(rng, 64);
+  for (const std::uint32_t tiles : {1u, 2u, 4u, 8u}) {
+    for (const std::uint32_t workers : {1u, 2u}) {
+      for (const Variant variant :
+           {Variant::kFlat, Variant::kHier, Variant::kChunkQueue}) {
+        const std::string label =
+            "tiles=" + std::to_string(tiles) +
+            " workers=" + std::to_string(workers) + " variant=" +
+            std::to_string(static_cast<int>(variant));
+        Machine naive =
+            buildMachine(tiles, workers, variant, SchedMode::Naive, m, v);
+        Machine event =
+            buildMachine(tiles, workers, variant, SchedMode::Event, m, v);
+        const RunResult a = naive.sys->run(naive.programs, naive.layout.y,
+                                           naive.layout.num_rows);
+        const RunResult b = event.sys->run(event.programs, event.layout.y,
+                                           event.layout.num_rows);
+        EXPECT_EQ(a.cycles, b.cycles) << label;
+        EXPECT_EQ(a.stats.all(), b.stats.all()) << label;
+        expectSameY(a.y, b.y);
+        expectSameY(sparse::spmvCsr(m, v), b.y);
+        EXPECT_EQ(naive.sys->checkpoint(naive.programs, a.cycles),
+                  event.sys->checkpoint(event.programs, b.cycles))
+            << label;
+
+        // Mid-run: stop both loops at the same cycle via max_cycles and
+        // compare the complete machine state there.
+        const Cycle cut = a.cycles / 2;
+        Machine naive_cut =
+            buildMachine(tiles, workers, variant, SchedMode::Naive, m, v);
+        Machine event_cut =
+            buildMachine(tiles, workers, variant, SchedMode::Event, m, v);
+        for (Machine* mc : {&naive_cut, &event_cut}) {
+          try {
+            mc->sys->run(mc->programs, mc->layout.y, mc->layout.num_rows,
+                         cut);
+            ADD_FAILURE() << label << ": run finished before the cut";
+          } catch (const SimError& e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Watchdog) << label;
+          }
+        }
+        EXPECT_EQ(naive_cut.sys->checkpoint(naive_cut.programs, cut),
+                  event_cut.sys->checkpoint(event_cut.programs, cut))
+            << label;
+      }
+    }
+  }
+}
+
+TEST(MultiTile, EventLoopSkipsAcrossTilesOnASlowSram) {
+  // A 2048-cycle SRAM with every tile running the scalar baseline on its
+  // own operand copy: all four cores sit in long load stalls with their
+  // devices idle, and the event loop must jump those stretches across the
+  // whole machine.
+  sim::Rng rng(0x4741);
+  const sparse::CsrMatrix m = workload::randomCsr(rng, 8, 8, 0.3);
+  const sparse::DenseVector v = workload::randomDenseVector(rng, 8);
+  SystemConfig cfg = scaleConfig(4);
+  cfg.memory.sram_latency = 2048;
+  MultiTileSystem sys(cfg);
+  std::vector<kernels::SpmvLayout> layouts;
+  std::vector<isa::Program> programs;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    layouts.push_back(loadSpmv(sys.arena(), sys.memory().sram(), m, v));
+    programs.push_back(kernels::spmvScalarBaseline(layouts.back()));
+  }
+  const RunResult r = sys.run(programs, layouts[0].y, layouts[0].num_rows);
+  EXPECT_GT(sys.hostSkippedCycles(), r.cycles / 2);
+  const sparse::DenseVector ref = sparse::spmvCsr(m, v);
+  for (const kernels::SpmvLayout& layout : layouts) {
+    expectSameY(ref, sparse::DenseVector(sys.memory().sram().peekArray<float>(
+                         layout.y, layout.num_rows)));
+  }
+}
+
+TEST(MultiTile, TracedShardedRunProfilesTileZeroOverTheWholeHorizon) {
+  // config.trace_sink is the memory system's sink and tile 0's default
+  // core/HHT sink, so a traced sharded run attributes tile 0's cycles
+  // instead of reporting its core as drained for the whole run.
+  sim::Rng rng(0x4742);
+  const sparse::CsrMatrix m = workload::randomCsr(rng, 64, 64, 0.2);
+  const sparse::DenseVector v = workload::randomDenseVector(rng, 64);
+  obs::TraceSink sink;
+  SystemConfig cfg = scaleConfig(4);
+  cfg.trace_sink = &sink;
+  const RunResult r =
+      runSpmvHhtSharded(cfg, 4, Partition::NnzBalanced, m, v, true);
+  expectSameY(sparse::spmvCsr(m, v), r.y);
+  ASSERT_EQ(sink.dropped(), 0u);
+  const obs::ProfileReport rep = obs::profile(sink);
+  ASSERT_GT(rep.horizon, 0u);
+  EXPECT_GT(rep.bucketCycles(obs::Component::kCpu, obs::kBucketCompute), 0u);
+  for (const obs::Component c :
+       {obs::Component::kCpu, obs::Component::kMem, obs::Component::kHhtFe,
+        obs::Component::kHhtBe}) {
+    EXPECT_EQ(rep.componentTotal(c), rep.horizon)
+        << "component " << static_cast<int>(c);
+  }
 }
 
 TEST(MultiTile, ThreadedTilePhaseIsByteIdenticalToSerial) {

@@ -155,9 +155,9 @@ class CheckpointAt : public harness::RunObserver {
  public:
   CheckpointAt(const isa::Program& program, Cycle at)
       : program_(&program), at_(at) {}
-  void onCycle(System& sys, Cycle now) override {
+  void onCycle(harness::MultiTileSystem& sys, Cycle now) override {
     if (now == at_ && snapshot_.empty()) {
-      snapshot_ = sys.checkpoint(*program_, now + 1);
+      snapshot_ = static_cast<System&>(sys).checkpoint(*program_, now + 1);
     }
   }
   const std::vector<std::uint8_t>& snapshot() const { return snapshot_; }
