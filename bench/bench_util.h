@@ -8,8 +8,8 @@
 //   --seed=S           override the workload seed
 //   --jobs=N           host threads for the sweep (default: all hardware
 //                      threads; 1 = serial)
-//   --no-fastforward   run the naive per-cycle reference loop instead of the
-//                      event-calendar loop (A/B check: results must be
+//   --no-fastforward   run the naive per-cycle reference loop without the
+//                      whole-machine jump (A/B check: results must be
 //                      bit-identical either way)
 //   --timeout-ms=N     host wall-clock budget; the process prints a
 //                      diagnostic and exits 124 if exceeded (HostTimeout)
@@ -61,7 +61,7 @@ namespace hht::benchutil {
 enum class RunMode {
   kAll,    ///< flag absent: run both loops and verify event >= naive
   kNaive,  ///< per-cycle reference loop (SchedMode::Naive)
-  kEvent,  ///< event-scheduled calendar loop (SchedMode::Event)
+  kEvent,  ///< lock-step loop with the whole-machine jump (SchedMode::Event)
 };
 
 struct Options {

@@ -2,7 +2,7 @@
 //
 // Two run-loop strategies over the same workload set:
 //   naive: per-cycle reference loop (SchedMode::Naive)
-//   event: event-scheduled calendar loop (SchedMode::Event)
+//   event: the same loop plus the whole-machine jump (SchedMode::Event)
 // Both passes must produce bit-identical simulation results (final cycles,
 // wait counters, every stat, the output vector); the binary exits non-zero
 // on any mismatch, so the throughput numbers can never come from a
@@ -16,8 +16,8 @@
 //   busy:        Fig. 4 SpMV set on a 1-cycle SRAM — some component has
 //                work almost every cycle; skip-hostile.
 //   short-stall: scalar baseline on a 6-cycle SRAM — every load opens a
-//                4-6 cycle hole that only per-component event scheduling
-//                recovers.
+//                4-6 cycle hole in which no component has work, so the
+//                jump recovers it.
 //   deep-stall:  scalar baseline and HHT SpMV on a 2048-cycle SRAM — long
 //                stalls the event loop must jump over.
 //
@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
     const double ratio = prev_mcps > 0.0 ? cur / prev_mcps : 1.0;
     if (prev_mcps > 0.0 && ratio < 1.0) chain_ok = false;
     std::string name = kModeNames[m];
-    name += m == kNaive ? " (per-cycle reference)" : " (event calendar)";
+    name += m == kNaive ? " (per-cycle reference)" : " (whole-machine jump)";
     table.addRow({name, harness::fmt(passes[m].wall_s, 3),
                   harness::fmt(cur, 2),
                   prev_mcps > 0.0 ? harness::fmt(ratio) : std::string("-")});

@@ -179,6 +179,7 @@ class BufferPool {
     for (std::uint64_t i = 0; i < n_bufs; ++i) {
       std::vector<Slot> buf;
       const std::uint64_t n_slots = r.u64();
+      r.checkCount(n_slots, 13, "buffer slot");  // see write_slot
       buf.reserve(n_slots);
       for (std::uint64_t j = 0; j < n_slots; ++j) buf.push_back(read_slot());
       published_.push_back(std::move(buf));

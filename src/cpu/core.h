@@ -70,7 +70,7 @@ class Core {
 
   /// Bulk-credit `n` skipped cycles: exactly the counter bumps and timer
   /// decrements the pure-stall ticks would have performed, with no other
-  /// side effects. Only valid for n < nextEventCycle(now) - now - 1.
+  /// side effects. Only valid for n <= nextEventCycle(now) - now - 1.
   void skipCycles(Cycle n);
 
   bool halted() const { return halted_; }

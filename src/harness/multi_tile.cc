@@ -1,119 +1,16 @@
-// The simulated machine (MultiTileSystem): construction, the two run loops
-// (naive reference and event calendar), the fault / degraded-fallback
-// path, snapshots and diagnostics. System (system.h) is its 1-tile facade.
+// The simulated machine (MultiTileSystem): construction, the lock-step run
+// loop and its whole-machine jump, the fault / degraded-fallback path,
+// snapshots and diagnostics. System (system.h) is its 1-tile facade.
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <functional>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "harness/system.h"
-#include "sim/calendar.h"
 #include "sim/watchdog.h"
 
 namespace hht::harness {
 
 namespace {
 constexpr Addr kArenaBase = 0x1000;  // keep address 0 unmapped-looking
-
-/// Persistent worker pool for the threaded tile phase (DESIGN.md §16).
-///
-/// Epoch protocol: the main thread publishes a cycle number; every worker
-/// ticks its statically-assigned tiles (all devices first, then all cores,
-/// in increasing tile order — the same phase order as the serial loop) with
-/// memory submissions parked in per-requester staging lanes; the main
-/// thread waits for all workers, drains the staged submissions in the
-/// canonical serial arrival order and runs the serial phase (shared memory
-/// tick, fault polls, halt detection, watchdog, calendar). Tiles never
-/// share mutable state during the parallel phase — every cross-tile
-/// interaction flows through the staged memory system — so the schedule is
-/// bit-identical to serial by construction (proven in tests/test_multi_tile
-/// and race-checked under the tsan preset).
-class TilePool {
- public:
-  TilePool(std::uint32_t workers,
-           std::function<void(std::uint32_t, Cycle)> work)
-      : work_(std::move(work)), errors_(workers) {
-    threads_.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) {
-      threads_.emplace_back([this, w] { runWorker(w); });
-    }
-  }
-
-  TilePool(const TilePool&) = delete;
-  TilePool& operator=(const TilePool&) = delete;
-
-  ~TilePool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    start_cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  /// Run one parallel phase at cycle `now`; blocks until every worker is
-  /// done. A worker exception aborts the run: rethrown here, lowest worker
-  /// index first (workers own contiguous tile ranges, so this is the
-  /// lowest faulting tile — matching the serial loop's throw order).
-  void runEpoch(Cycle now) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      now_ = now;
-      pending_ = static_cast<std::uint32_t>(threads_.size());
-      ++epoch_;
-    }
-    start_cv_.notify_all();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      done_cv_.wait(lock, [this] { return pending_ == 0; });
-    }
-    for (std::exception_ptr& e : errors_) {
-      if (e != nullptr) {
-        std::exception_ptr thrown = e;
-        e = nullptr;
-        std::rethrow_exception(thrown);
-      }
-    }
-  }
-
- private:
-  void runWorker(std::uint32_t w) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      Cycle now;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        start_cv_.wait(lock, [&] { return stop_ || epoch_ != seen; });
-        if (stop_) return;
-        seen = epoch_;
-        now = now_;
-      }
-      try {
-        work_(w, now);
-      } catch (...) {
-        errors_[w] = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--pending_ == 0) done_cv_.notify_one();
-      }
-    }
-  }
-
-  std::function<void(std::uint32_t, Cycle)> work_;
-  std::vector<std::exception_ptr> errors_;  ///< one slot per worker
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  Cycle now_ = 0;
-  std::uint64_t epoch_ = 0;
-  std::uint32_t pending_ = 0;
-  bool stop_ = false;
-};
 
 /// Pre-construction validation hook: members are built from `config`, so
 /// the checks must run before the initializer list touches it.
@@ -131,35 +28,14 @@ sim::FaultConfig tileFaultConfig(const sim::FaultConfig& base,
   f.seed = base.seed + 0x9E3779B97F4A7C15ull * tile;
   return f;
 }
-
-// Due bits of one tile in a tick phase.
-constexpr std::uint8_t kDeviceDue = 1;
-constexpr std::uint8_t kCoreDue = 2;
-constexpr std::uint8_t kBothDue = kDeviceDue | kCoreDue;
-
-/// Run-loop state of one tile.
-struct Lane {
-  /// Lazy-credit cursors: the first cycle the device / core has NOT yet
-  /// been ticked or credited for.
-  Cycle dev_from = 0;
-  Cycle cpu_from = 0;
-  /// Event loop: the device's hook is consulted again from this cycle on.
-  Cycle dev_hook_due = 0;
-  std::uint8_t due = kBothDue;  ///< components to tick this phase
-};
 }  // namespace
 
-/// Per-pass loop state shared by both run loops: the per-tile lanes and
-/// watchdogs, the tick phase — serial, or on a worker pool with staged
-/// memory submissions — and the crediting of lazily-skipped cycles.
+/// Per-pass loop state: one forward-progress watchdog per tile.
 class MultiTileSystem::Schedule {
  public:
   /// `watch` = false disables the watchdogs: the degraded fallback rerun
   /// is bounded by max_cycles alone.
-  Schedule(MultiTileSystem& sys, Cycle start_cycle, bool watch)
-      : sys_(sys),
-        tiles_(sys.tiles_),
-        lanes_(tiles_.size(), Lane{start_cycle, start_cycle, start_cycle}) {
+  Schedule(MultiTileSystem& sys, bool watch) : sys_(sys), tiles_(sys.tiles_) {
     // One watchdog per tile over that tile's own progress sum (its core's
     // retirement, its HHT's FIFO/BE activity, its two arbiter ports'
     // grants): a single wedged tile fires even while the others keep the
@@ -176,102 +52,10 @@ class MultiTileSystem::Schedule {
            &sys.mem_->stats().counter(
                "mem." + mem::requesterLabel(2 * t + 1) + ".grants")});
     }
-    // Threaded tile phase: with tile_workers > 1 the per-tile components
-    // tick on a persistent worker pool while every memory submission parks
-    // in its requester's staging lane; the serial phase drains the lanes
-    // in canonical order, so results are bit-identical to the serial loop.
-    const std::uint32_t workers =
-        std::min(std::max(sys.config_.tile_workers, 1u), n);
-    if (workers > 1) {
-      sys.mem_->beginStagedSubmission();
-      pool_ = std::make_unique<TilePool>(
-          workers, [this, n, workers](std::uint32_t w, Cycle now) {
-            const std::uint32_t per = n / workers;
-            const std::uint32_t rem = n % workers;
-            const std::uint32_t begin = w * per + std::min(w, rem);
-            tickDue(tiles_.data(), lanes_.data(), begin,
-                    begin + per + (w < rem ? 1 : 0), now);
-          });
-    }
-  }
-
-  ~Schedule() {
-    // Restore immediate-submission mode on every exit path, including
-    // thrown faults.
-    if (pool_) {
-      pool_.reset();
-      sys_.mem_->endStagedSubmission();
-    }
   }
 
   Schedule(const Schedule&) = delete;
   Schedule& operator=(const Schedule&) = delete;
-
-  Lane* lanes() { return lanes_.data(); }
-  bool threaded() const { return pool_ != nullptr; }
-
-  /// Tick the due components of tiles [begin, end), each credited first
-  /// for the cycles it skipped: all devices in tile order, then all cores —
-  /// the naive phase order restricted to the due set.
-  static void tickDue(Tile* tiles, Lane* lanes, std::uint32_t begin,
-                      std::uint32_t end, Cycle now) {
-    for (std::uint32_t t = begin; t < end; ++t) {
-      Lane& lane = lanes[t];
-      if (!(lane.due & kDeviceDue)) continue;
-      if (now > lane.dev_from) tiles[t].hht->skipCycles(now - lane.dev_from);
-      tiles[t].tickDevice(now);
-      lane.dev_from = now + 1;
-    }
-    for (std::uint32_t t = begin; t < end; ++t) {
-      Lane& lane = lanes[t];
-      if (!(lane.due & kCoreDue)) continue;
-      cpu::Core& core = *tiles[t].cpu;
-      if (now > lane.cpu_from) core.skipCycles(now - lane.cpu_from);
-      core.tick(now);
-      lane.cpu_from = now + 1;
-    }
-  }
-
-  /// Threaded tick phase: every worker runs tickDue over its tile range,
-  /// then the staged submissions drain in canonical order.
-  void tickOnPool(Cycle now) {
-    pool_->runEpoch(now);
-    sys_.mem_->drainStagedSubmissions();
-  }
-
-  /// Make every component due (the naive tick set).
-  void allDue() {
-    for (Lane& lane : lanes_) lane.due = kBothDue;
-  }
-
-  /// Mark every component ticked through cycle `upto - 1`.
-  void syncTo(Cycle upto) {
-    for (Lane& lane : lanes_) lane.dev_from = lane.cpu_from = upto;
-  }
-
-  /// Credit every device through cycle `upto - 1` (MMIO settle).
-  void creditDevices(Cycle upto) {
-    for (std::size_t t = 0; t < lanes_.size(); ++t) {
-      Lane& lane = lanes_[t];
-      if (upto > lane.dev_from) {
-        tiles_[t].hht->skipCycles(upto - lane.dev_from);
-        lane.dev_from = upto;
-      }
-    }
-  }
-
-  /// Credit every lazily-skipped component through cycle `upto - 1`: the
-  /// synchronization point before anything reads whole-machine state.
-  void creditTo(Cycle upto) {
-    creditDevices(upto);
-    for (std::size_t t = 0; t < lanes_.size(); ++t) {
-      Lane& lane = lanes_[t];
-      if (upto > lane.cpu_from) {
-        tiles_[t].cpu->skipCycles(upto - lane.cpu_from);
-        lane.cpu_from = upto;
-      }
-    }
-  }
 
   /// A copy of tile 0's watchdog for its due() gate alone: every tile's
   /// watchdog samples on the same grid, and a local copy keeps the
@@ -280,15 +64,11 @@ class MultiTileSystem::Schedule {
 
   /// Watchdog sampling point (call when sampler().due(now)). Halted tiles
   /// are excluded — a tile that finished early makes no progress by design.
-  /// `settle` runs before the dump is built.
-  template <typename Settle>
-  void watch(Cycle now, Settle&& settle) {
+  void watch(Cycle now) {
     for (std::size_t t = 0; t < tiles_.size(); ++t) {
       if (tiles_[t].cpu->halted()) continue;
-      watchdogs_[t].observe(now, progress(t), [&] {
-        settle();
-        return sys_.dumpDiagnostics(now);
-      });
+      watchdogs_[t].observe(now, progress(t),
+                            [&] { return sys_.dumpDiagnostics(now); });
     }
   }
 
@@ -322,10 +102,8 @@ class MultiTileSystem::Schedule {
 
   MultiTileSystem& sys_;
   std::span<Tile> tiles_;  ///< the tile vector never resizes
-  std::vector<Lane> lanes_;
   std::vector<sim::Watchdog> watchdogs_;
   std::vector<Progress> progress_;
-  std::unique_ptr<TilePool> pool_;
 };
 
 MultiTileSystem::MultiTileSystem(const SystemConfig& config)
@@ -520,52 +298,41 @@ void MultiTileSystem::degrade(const isa::Program& fallback, Cycle start_cycle,
 MultiTileSystem::Stop MultiTileSystem::pass(Cycle start_cycle,
                                             Cycle max_cycles,
                                             RunObserver* observer) {
-  Schedule s(*this, start_cycle, /*watch=*/!degraded_active_);
+  Schedule s(*this, /*watch=*/!degraded_active_);
   // An observer is entitled to see every executed cycle (the differential
   // oracle samples FIFO occupancy; checkpoint triggers fire at exact
   // cycles) and a trace must record every executed cycle's phase, so
-  // either forces the naive loop. The fault injector needs no hook: faults
+  // either turns the jump off. The fault injector needs no hook: faults
   // only arise from component activity, and skipped cycles have none.
-  bool naive = config_.sched_mode == SchedMode::Naive || observer != nullptr ||
-               !observers_.empty() || config_.trace_sink != nullptr;
-  for (const Tile& tile : tiles_) naive = naive || tile.sink != nullptr;
+  bool jump = config_.sched_mode == SchedMode::Event && observer == nullptr &&
+              observers_.empty() && config_.trace_sink == nullptr;
+  for (const Tile& tile : tiles_) jump = jump && tile.sink == nullptr;
   if (numTiles() == 1) {
-    return naive ? naiveLoop<true>(s, start_cycle, max_cycles, observer)
-                 : eventLoop<true>(s, start_cycle, max_cycles);
+    return loop<true>(s, start_cycle, max_cycles, observer, jump);
   }
-  return naive ? naiveLoop<false>(s, start_cycle, max_cycles, observer)
-               : eventLoop<false>(s, start_cycle, max_cycles);
+  return loop<false>(s, start_cycle, max_cycles, observer, jump);
 }
 
 template <bool kOneTile>
-MultiTileSystem::Stop MultiTileSystem::naiveLoop(Schedule& s, Cycle from,
-                                                 Cycle to,
-                                                 RunObserver* observer) {
+MultiTileSystem::Stop MultiTileSystem::loop(Schedule& s, Cycle from, Cycle to,
+                                            RunObserver* observer, bool jump) {
   // Hoisted into locals: the component ticks are opaque calls, so member
   // loads would otherwise repeat every cycle of the hottest loop. The
   // kOneTile instantiation makes the tile loops straight-line code, which
   // keeps the single-tile busy loop at the cost of the pre-merge one.
   const std::span<Tile> tiles(tiles_);
   const std::size_t n = kOneTile ? 1 : tiles.size();
-  const bool threaded = s.threaded();
   mem::MemorySystem& mem = *mem_;
   mem::ChunkQueueDevice* const wq = wq_.get();
   const bool observed = observer != nullptr || !observers_.empty();
   const sim::Watchdog sampler = s.sampler();
-  // The naive loop keeps nothing skipped, so it leaves the lazy-credit
-  // cursors alone (the event loop re-syncs them after a burst).
-  if (threaded) s.allDue();
   for (Cycle now = from; now < to; ++now) {
     // Fixed order keeps arbitration deterministic: all HHTs publish, then
     // all cores, then the shared memory system arbitrates the whole
     // cycle's requests. The chunk queue's per-cycle claim budget resets
     // just before the memory tick processes this cycle's MMIO.
-    if (threaded) {
-      s.tickOnPool(now);
-    } else {
-      for (std::size_t t = 0; t < n; ++t) tiles[t].tickDevice(now);
-      for (std::size_t t = 0; t < n; ++t) tiles[t].cpu->tick(now);
-    }
+    for (std::size_t t = 0; t < n; ++t) tiles[t].tickDevice(now);
+    for (std::size_t t = 0; t < n; ++t) tiles[t].cpu->tick(now);
     if (wq != nullptr) wq->beginCycle(now);
     mem.tick(now);
     bool halted = true;
@@ -579,206 +346,37 @@ MultiTileSystem::Stop MultiTileSystem::naiveLoop(Schedule& s, Cycle from,
       for (RunObserver* o : observers_) o->onCycle(*this, now);
     }
     if (halted && mem.idle()) return {now, -1};
-    if (sampler.due(now)) s.watch(now, [] {});
+    if (sampler.due(now)) s.watch(now);
+    if (!jump) continue;
+
+    // Whole-machine jump (DESIGN.md §16). Every component has just ticked
+    // at `now`, so each next-event hook is exact; the scan for the
+    // earliest stops at the first `now + 1`. When the earliest lies later,
+    // the cycles before it are pure stalls for every component: each is
+    // credited for them in bulk, and the loop lands on that cycle, capped
+    // at the run's end and at the watchdogs' next state-changing sample.
+    // Each tile's device is asked before its core: a working HHT answers
+    // `now + 1` at once, while a core waiting on a load scans every
+    // in-flight access for its answer.
+    const Cycle soon = now + 1;
+    Cycle next = sim::kNeverCycle;
+    for (std::size_t t = 0; t < n && next > soon; ++t) {
+      next = std::min(next, tiles[t].deviceNextEvent(now));
+      if (next > soon) next = std::min(next, tiles[t].cpu->nextEventCycle(now));
+    }
+    if (next > soon) next = std::min(next, mem.nextEventCycle(now));
+    if (next <= soon) continue;
+    const Cycle target = std::min({next, to, s.watchdogHorizon(now)});
+    if (target <= soon) continue;
+    const Cycle skipped = target - soon;
+    for (std::size_t t = 0; t < n; ++t) {
+      tiles[t].hht->skipCycles(skipped);
+      tiles[t].cpu->skipCycles(skipped);
+    }
+    host_skipped_cycles_ += skipped;
+    now = target - 1;
   }
   return {to, -1};
-}
-
-template <bool kOneTile>
-MultiTileSystem::Stop MultiTileSystem::eventLoop(Schedule& s,
-                                                 Cycle start_cycle,
-                                                 Cycle max_cycles) {
-  // Event-scheduled loop (DESIGN.md §16). Each component is ticked only on
-  // cycles it declared work for; the cycles in between — where its
-  // nextEventCycle() contract guarantees a tick would have been a pure
-  // no-op plus bookkeeping — are bulk-credited via skipCycles() just
-  // before its next real tick (or at a synchronization point: watchdog
-  // dump, fault, loop exit). The loop itself jumps straight to the
-  // earliest posted event. Results, stats and snapshot bytes are
-  // bit-identical to the naive loop; the A/B proof lives in
-  // tests/test_fastforward.cc and tests/test_multi_tile.cc.
-  //
-  // Calendar slots: tile t's device is 2t, its core 2t+1, memory 2N.
-  // Per-tile state is hoisted into locals: the component ticks are opaque
-  // calls, so member loads would otherwise repeat every iteration. The
-  // kOneTile instantiation fixes N = 1 at compile time (straight-line tile
-  // loops, a 3-slot calendar whose min-rescan unrolls): on the short-stall
-  // regime, where nearly every iteration is a calendar iteration, that is
-  // worth ~15% host time.
-  const std::span<Tile> tiles(tiles_);
-  Lane* const lanes = s.lanes();
-  const std::uint32_t n =
-      kOneTile ? 1 : static_cast<std::uint32_t>(tiles.size());
-  const bool threaded = s.threaded();
-  mem::MemorySystem& mem = *mem_;
-  mem::ChunkQueueDevice* const wq = wq_.get();
-  const sim::Watchdog sampler = s.sampler();
-  const std::size_t mem_slot = 2 * n;
-  // Slots past 2N+1 are never posted, so they stay idle (kNeverCycle).
-  constexpr std::size_t kSlots =
-      kOneTile ? 3 : 2 * mem::MemorySystemConfig::kMaxTiles + 1;
-  sim::EventCalendar<kSlots> cal;
-  for (std::size_t slot = 0; slot <= mem_slot; ++slot) {
-    cal.post(slot, start_cycle);
-  }
-  // Hook thinning: while a component keeps answering "tick me next cycle",
-  // consulting its nextEventCycle() hook every tick buys nothing — post
-  // now+1 blindly for a stride of ticks before asking again. Extra ticks
-  // are exactly the naive schedule, so this is always safe, and any hook
-  // answer greater than now+1 ends the blind window at once, so multi-cycle
-  // skips (load stalls, drained devices) are preserved. Only the device and
-  // memory hooks are thinned: both answer now+1 for as long as any memory
-  // traffic exists, so their blind windows cost nothing. The core hook is
-  // consulted every tick — its answer encodes per-stall skips (LoadWait,
-  // vector-gather startup) that fire even while memory is busy.
-  constexpr Cycle kHookThinStride = 16;
-  Cycle mem_hook_due = start_cycle;
-  // Busy-streak burst: when some component keeps answering now+1, the
-  // calendar machinery (due checks, hooks, posts, min-scan) is pure
-  // overhead over the naive loop. After kBurstStreak consecutive
-  // iterations with no jump, fall back to naive ticking for a burst that
-  // doubles up to kBurstCap, re-consulting the calendar between bursts. A
-  // burst ticks every component every cycle — exactly the naive schedule —
-  // so it can never change results; the cost is a bounded delay (one
-  // burst) before a newly-skippable stretch is noticed.
-  constexpr Cycle kBurstStreak = 8;
-  constexpr Cycle kMinBurst = 16;
-  constexpr Cycle kBurstCap = 256;
-  Cycle burst_until = start_cycle;  // exclusive end of the current burst
-  Cycle burst_len = kMinBurst;
-  Cycle busy_streak = 0;
-
-  Cycle now = start_cycle;
-  while (now < max_cycles) {
-    if (now < burst_until) {
-      // Naive burst: tick everything in the reference order with no
-      // calendar traffic. It starts from fully-credited state, so a stop
-      // inside it leaves nothing to credit.
-      const Cycle end = std::min(burst_until, max_cycles);
-      const Stop stop = naiveLoop<kOneTile>(s, now, end, nullptr);
-      if (stop.now < end) return stop;
-      s.syncTo(end);
-      now = end;
-      continue;
-    }
-    bool any_due = false;
-    for (std::uint32_t t = 0; t < n; ++t) {
-      lanes[t].due = static_cast<std::uint8_t>(
-          (cal.due(2 * t, now) ? kDeviceDue : 0) |
-          (cal.due(2 * t + 1, now) ? kCoreDue : 0));
-      any_due = any_due || lanes[t].due != 0;
-    }
-    if (any_due) {
-      if (threaded) {
-        s.tickOnPool(now);
-      } else {
-        Schedule::tickDue(tiles.data(), lanes, 0, n, now);
-      }
-    }
-    const bool mmio_was_pending = mem.mmioPending();
-    if (mmio_was_pending) {
-      // Settle every device's lazy credit BEFORE the memory tick delivers
-      // MMIO: a delivered write can create or start an engine, and credits
-      // applied after that would advance the new engine's phase for cycles
-      // the naive schedule ticked against the old state. Crediting through
-      // `now` is sound: a device not due this cycle is covered by its
-      // contract up to and including now.
-      s.creditDevices(now + 1);
-    }
-    if (cal.due(mem_slot, now) || mem.pendingArbitration()) {
-      // pendingArbitration covers submits made by this cycle's device/core
-      // ticks: arbitration for them runs this same cycle, which a posting
-      // taken before those ticks cannot know.
-      if (wq != nullptr) wq->beginCycle(now);
-      mem.tick(now);
-      if (now >= mem_hook_due) {
-        const Cycle next = mem.nextEventCycle(now);
-        cal.post(mem_slot, next);
-        if (next == now + 1) mem_hook_due = now + kHookThinStride;
-      } else {
-        cal.post(mem_slot, now + 1);
-      }
-      if (mmio_was_pending) {
-        // The memory system processed MMIO traffic this cycle; an MMIO
-        // start write is the one path that hands an otherwise-idle device
-        // new work, so refresh the postings of devices that did not tick.
-        for (std::uint32_t t = 0; t < n; ++t) {
-          if (lanes[t].due & kDeviceDue) continue;
-          cal.post(2 * t,
-                   std::min(cal.at(2 * t), tiles[t].deviceNextEvent(now)));
-        }
-      }
-    }
-    // Both refreshes run after the memory tick: a device's next event
-    // consults memory drain state, and a core load waits on a response
-    // whose ready cycle the memory system only knows once granted. A core
-    // is never woken externally — every wait phase it enters carries its
-    // own wake cycle — so its posting refreshes only when it ticks.
-    bool halted = true;
-    for (std::uint32_t t = 0; t < n; ++t) {
-      Lane& lane = lanes[t];
-      if (lane.due & kDeviceDue) {
-        if (now >= lane.dev_hook_due) {
-          const Cycle next = tiles[t].deviceNextEvent(now);
-          cal.post(2 * t, next);
-          if (next == now + 1) lane.dev_hook_due = now + kHookThinStride;
-        } else {
-          cal.post(2 * t, now + 1);
-        }
-      }
-      if (lane.due & kCoreDue) {
-        cal.post(2 * t + 1, tiles[t].cpu->nextEventCycle(now));
-      }
-      if (tiles[t].hht->faultRaised()) {
-        s.creditTo(now + 1);
-        return {now, static_cast<int>(t)};
-      }
-      halted = halted && tiles[t].cpu->halted();
-    }
-    if (halted && mem.idle()) {
-      s.creditTo(now + 1);
-      return {now, -1};
-    }
-    if (sampler.due(now)) s.watch(now, [&] { s.creditTo(now + 1); });
-
-    const Cycle ev = cal.next();
-    if (ev > now + 1) {
-      busy_streak = 0;
-      burst_len = kMinBurst;
-      // Jump to the earliest cycle any component has work, capped at
-      // max_cycles (timeout path unchanged) and at the watchdogs' next
-      // state-changing sample.
-      const Cycle target = std::min({ev, max_cycles, s.watchdogHorizon(now)});
-      if (target > now + 1) {
-        host_skipped_cycles_ += target - (now + 1);
-        now = target;
-        continue;
-      }
-    } else if (++busy_streak >= kBurstStreak) {
-      // ev == now+1 only means the EARLIEST component is due next cycle;
-      // others may still carry uncredited lazily-skipped cycles. Settle
-      // every cursor now — the burst ticks every component every cycle, so
-      // it must start from fully-credited state, exactly like the
-      // fault/halt exits.
-      s.creditTo(now + 1);
-      busy_streak = 0;
-      burst_until = now + 1 + burst_len;
-      burst_len = std::min(burst_len * 2, kBurstCap);
-      // A burst ticks without posting, so work created inside it (a
-      // grant's retirement cycle, a stall wake) would leave the pre-burst
-      // entries stale-HIGH and get missed. Force every slot due on the
-      // first post-burst cycle: each component ticks once and reposts from
-      // a fresh hook.
-      for (std::size_t slot = 0; slot <= mem_slot; ++slot) {
-        cal.post(slot, burst_until);
-      }
-    }
-    ++now;
-  }
-  // now == max_cycles: credit the lazily-skipped tail through the last
-  // simulated cycle.
-  s.creditTo(now);
-  return {now, -1};
 }
 
 void MultiTileSystem::finishResult(RunResult& result, Addr y_addr,

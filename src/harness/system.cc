@@ -168,7 +168,9 @@ SystemConfig readSystemConfig(sim::StateReader& r) {
   topo.hht_prefetch_enabled = r.b();
   topo.hht_prefetch_degree = r.u32();
   topo.hht_prefetch_queue = r.u32();
-  topo.nodes.resize(r.u32());
+  const std::uint32_t num_nodes = r.u32();
+  r.checkCount(num_nodes, 12, "topology node");  // u32 grants + u64 latency
+  topo.nodes.resize(num_nodes);
   for (mem::TopologyNodeConfig& node : topo.nodes) {
     node.grants_per_cycle = r.u32();
     node.extra_latency = r.u64();

@@ -37,10 +37,9 @@ enum class SchedMode : std::uint8_t {
   /// Tick every component every cycle. The reference schedule; forced
   /// whenever an observer or trace sink must see each executed cycle.
   Naive,
-  /// Event-scheduled (DESIGN.md §16): a per-component next-event calendar;
-  /// each component is ticked only on cycles it has work, lazily credited
-  /// for the cycles it provably idled, and the loop jumps to the next
-  /// cycle any component has work.
+  /// The same lock-step loop plus a whole-machine jump (DESIGN.md §16):
+  /// when no component has work before some later cycle, every component
+  /// is credited for the idle stretch and the loop lands on that cycle.
   Event,
 };
 
@@ -69,12 +68,6 @@ struct SystemConfig {
   /// Observers and trace sinks force SchedMode::Naive regardless; the
   /// benches' --no-fastforward selects Naive for A/B verification.
   SchedMode sched_mode = SchedMode::Event;
-  /// Worker threads for the tile phase (DESIGN.md §16): tiles tick in
-  /// parallel between shared-memory epochs, exchanging requests at the
-  /// epoch boundary in canonical tile order, so results and snapshot bytes
-  /// stay bit-identical to the serial schedule. 1 = serial (the default);
-  /// clamped to the tile count. Host-only, fingerprint-excluded.
-  std::uint32_t tile_workers = 1;
   /// Optional cycle-accurate trace sink (src/obs, DESIGN.md §12): the
   /// memory system's and work queue's sink, and tile 0's default core/HHT
   /// sink (MultiTileSystem::setTileTraceSink overrides it per tile).
@@ -186,9 +179,10 @@ class RunObserver {
 ///
 /// Per cycle, in fixed order: every tile's HHT ticks, then every tile's
 /// core, then the shared memory system arbitrates the whole cycle's
-/// requests. Two run loops implement that schedule (config.sched_mode):
-/// the naive reference loop and the event-calendar loop; both are
-/// bit-identical in results, stats and snapshot bytes.
+/// requests. One lock-step loop implements that schedule; config.sched_mode
+/// decides whether it may jump across cycles in which no component has
+/// work. Both modes are bit-identical in results, stats and snapshot
+/// bytes.
 ///
 /// Fault injection (config.faults) is per tile: each tile draws from its
 /// own seeded FaultInjector (tile 0 keeps config.faults.seed; other tiles
@@ -288,7 +282,7 @@ class MultiTileSystem {
   /// degraded-loop cycles (which restart at 0) from primary-run cycles.
   bool degradedActive() const { return degraded_active_; }
 
-  /// Cycles the event loop jumped over during the most recent run() /
+  /// Cycles the run loop jumped over during the most recent run() /
   /// resume() (host diagnostic, not a simulated statistic — it never
   /// appears in RunResult::stats).
   std::uint64_t hostSkippedCycles() const { return host_skipped_cycles_; }
@@ -353,15 +347,15 @@ class MultiTileSystem {
   class Schedule;
 
   /// One pass over [start_cycle, max_cycles) in the configured schedule;
-  /// observers and sinks force the naive loop. Every component has been
+  /// observers and sinks turn the jump off. Every component has been
   /// ticked or credited for every executed cycle on return.
   Stop pass(Cycle start_cycle, Cycle max_cycles, RunObserver* observer);
-  /// The naive reference loop over [from, to): every component of every
-  /// tile, every cycle. Also the event loop's busy-burst body.
+  /// The run loop over [from, to): every component of every tile, every
+  /// executed cycle; with `jump`, whole-machine idle stretches are
+  /// credited in bulk and skipped.
   template <bool kOneTile>
-  Stop naiveLoop(Schedule& s, Cycle from, Cycle to, RunObserver* observer);
-  template <bool kOneTile>
-  Stop eventLoop(Schedule& s, Cycle start_cycle, Cycle max_cycles);
+  Stop loop(Schedule& s, Cycle from, Cycle to, RunObserver* observer,
+            bool jump);
   /// Graceful degradation: quiesce the device and memory, then run
   /// `fallback` on tile 0 from cycle `start_cycle` with injection detached.
   void degrade(const isa::Program& fallback, Cycle start_cycle,

@@ -116,7 +116,6 @@ MemorySystem::MemorySystem(const MemorySystemConfig& config)
   next_scrub_cycle_ = config_.scrub_period;
   next_seq_.resize(num_requesters_, 0);
   completed_.resize(num_requesters_);
-  stage_.resize(num_requesters_);
   if (config_.cpu_cache_enabled) {
     cpu_cache_ = std::make_unique<Cache>(config_.cache);
   }
@@ -224,48 +223,12 @@ RequestId MemorySystem::submit(const MemAccess& access) {
   } else {
     ++*(access.is_write ? writes_[who] : reads_[who]);
   }
-  if (staging_) {
-    // Threaded epoch: park in this requester's private lane; the epoch
-    // barrier's drainStagedSubmissions() moves it into the shared queues
-    // in canonical serial order. Everything touched on this path (seq,
-    // counters, lane) is owned by `who`, so concurrent submits from
-    // different requesters never race.
-    stage_[who].push_back({id, access});
-    return id;
-  }
   if (is_mmio) {
     mmio_queue_.push_back({id, access});
   } else {
     routeDemand({id, access});
   }
   return id;
-}
-
-void MemorySystem::beginStagedSubmission() { staging_ = true; }
-
-void MemorySystem::drainStagedSubmissions() {
-  // Canonical serial arrival order: the serial multi-tile loop ticks every
-  // device (HHT role, odd indices) in tile order, then every core (CPU
-  // role, even indices) in tile order. Reproducing that order here makes
-  // queue contents — and therefore arbitration history and snapshot bytes
-  // — identical to the serial schedule.
-  const auto drain_lane = [this](std::uint32_t who) {
-    for (const Pending& p : stage_[who]) {
-      if (isMmio(p.access.addr)) {
-        mmio_queue_.push_back(p);
-      } else {
-        routeDemand(p);
-      }
-    }
-    stage_[who].clear();
-  };
-  for (std::uint32_t who = 1; who < num_requesters_; who += 2) drain_lane(who);
-  for (std::uint32_t who = 0; who < num_requesters_; who += 2) drain_lane(who);
-}
-
-void MemorySystem::endStagedSubmission() {
-  drainStagedSubmissions();  // defensive: staged work must never be dropped
-  staging_ = false;
 }
 
 std::optional<std::uint32_t> MemorySystem::takeCompleted(RequestId id) {
@@ -857,7 +820,7 @@ Cycle MemorySystem::nextEventCycle(Cycle now) const {
   }
   Cycle earliest = sim::kNeverCycle;
   if (config_.scrub_enabled) {
-    // The event loop must land exactly on patrol ticks: a skipped
+    // The run loop must land exactly on patrol ticks: a skipped
     // stretch may not jump over a due scrub read.
     earliest = std::max(next_scrub_cycle_, now + 1);
   }
@@ -900,7 +863,6 @@ void MemorySystem::cancelAll() {
   for (auto& tracked : hht_pf_tracked_) tracked.clear();
   in_flight_.clear();
   for (auto& lane : completed_) lane.clear();
-  for (auto& lane : stage_) lane.clear();
 }
 
 std::string MemorySystem::describeState() const {

@@ -123,25 +123,8 @@ class MemorySystem {
   /// Request ids are drawn from per-requester streams (id = seq *
   /// numRequesters + requesterIndex + 1), so the id a requester receives
   /// depends only on its own submission history — never on how its
-  /// submissions interleave with other tiles'. That property is what lets
-  /// the threaded multi-tile epoch loop (DESIGN.md §16) allocate ids from
-  /// concurrent workers and still match the serial schedule bit for bit.
+  /// submissions interleave with other tiles'.
   RequestId submit(const MemAccess& access);
-
-  /// Epoch staging (threaded MultiTileSystem, DESIGN.md §16). Between
-  /// beginStagedSubmission() and endStagedSubmission(), submit() validates,
-  /// allocates the id and bumps the per-requester counters as usual but
-  /// parks the access in a per-requester staging lane instead of the shared
-  /// queues; submit() is then safe to call concurrently from different
-  /// requesters (each touches only its own lane/counters). After the epoch
-  /// barrier, drainStagedSubmissions() moves the staged accesses into the
-  /// real queues in the canonical serial arrival order — every HHT-role
-  /// lane in tile order, then every CPU-role lane in tile order — exactly
-  /// the order the serial loop (all device ticks, then all core ticks)
-  /// would have produced.
-  void beginStagedSubmission();
-  void drainStagedSubmissions();
-  void endStagedSubmission();
 
   /// If request `id` has completed, consume it and return the response
   /// (data is zero for writes). Poison-aware consumers (cores, walkers)
@@ -233,10 +216,8 @@ class MemorySystem {
   }
 
   /// True when no request is queued or in flight (used by run loops to
-  /// detect quiescence). Only called from serial loop contexts (never from
-  /// inside a threaded epoch's parallel phase), so scanning the per-
-  /// requester completed lanes is race-free; with <= 2*16 lanes it is also
-  /// a trivial cost. Prefetch fill queues are deliberately excluded —
+  /// detect quiescence). With <= 2*16 requester lanes the scan is a
+  /// trivial cost. Prefetch fill queues are deliberately excluded —
   /// abandoned prefetches at quiescence are harmless (timing-only fills).
   bool idle() const {
     if (!mmio_queue_.empty() || !in_flight_.empty()) return false;
@@ -251,30 +232,6 @@ class MemorySystem {
     }
     return true;
   }
-
-  /// True when tick() must run next cycle regardless of in-flight latency:
-  /// queued SRAM/MMIO/lane work awaits arbitration, or a prefetcher holds
-  /// fill candidates. The event-scheduled loop consults this after the
-  /// device/core phase, because a submit *this* cycle makes the memory
-  /// system due the same cycle (nextEventCycle() snapshots are stale by
-  /// then).
-  bool pendingArbitration() const {
-    if (!mmio_queue_.empty() || !prefetch_queue_.empty() ||
-        !hht_pf_queue_.empty()) {
-      return true;
-    }
-    for (const ChannelState& ch : channels_) {
-      if (!ch.queue.empty()) return true;
-    }
-    for (const auto& lane : tile_lanes_) {
-      if (!lane.empty()) return true;
-    }
-    return false;
-  }
-
-  /// True while any MMIO access is queued (retried every cycle until the
-  /// device window accepts it).
-  bool mmioPending() const { return !mmio_queue_.empty(); }
 
   /// Any completed-but-unclaimed response on `role`/`tile`'s lane? One load
   /// and a compare: consumers with several outstanding requests check this
@@ -326,6 +283,23 @@ class MemorySystem {
   void deserialize(sim::StateReader& r);
 
  private:
+  /// True when tick() must run next cycle regardless of in-flight latency:
+  /// queued SRAM/MMIO/lane work awaits arbitration, or a prefetcher holds
+  /// fill candidates.
+  bool pendingArbitration() const {
+    if (!mmio_queue_.empty() || !prefetch_queue_.empty() ||
+        !hht_pf_queue_.empty()) {
+      return true;
+    }
+    for (const ChannelState& ch : channels_) {
+      if (!ch.queue.empty()) return true;
+    }
+    for (const auto& lane : tile_lanes_) {
+      if (!lane.empty()) return true;
+    }
+    return false;
+  }
+
   struct Pending {
     RequestId id;
     MemAccess access;
@@ -434,18 +408,12 @@ class MemorySystem {
   /// Unclaimed responses, one lane per requester (lane = (id-1) %
   /// numRequesters, well-defined because ids are per-requester streams).
   /// Per-lane storage keeps takeResponse() scanning only the caller's own
-  /// handful of entries — and makes concurrent polls from different tiles
-  /// race-free during the threaded epoch's parallel phase. Each lane stays
-  /// in retirement order.
+  /// handful of entries. Each lane stays in retirement order.
   std::vector<std::vector<std::pair<RequestId, MemResponse>>> completed_;
 
   /// Per-requester next sequence numbers (id = seq*R + who + 1); replaces
   /// the old global next_id_ counter (snapshot v6).
   std::vector<RequestId> next_seq_;
-  /// Epoch staging lanes (host-only, always drained before any snapshot or
-  /// idle() decision; never serialized).
-  std::vector<std::vector<Pending>> stage_;
-  bool staging_ = false;
   /// Patrol-scrubber walk state (serialized, snapshot v5): next word to
   /// inspect and the cycle its next read becomes due.
   Addr scrub_addr_ = 0;

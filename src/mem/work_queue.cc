@@ -154,6 +154,7 @@ void ChunkQueueDevice::deserialize(sim::StateReader& r) {
   }
   log_.clear();
   const std::uint64_t n = r.u64();
+  r.checkCount(n, 13, "claim log entry");  // 3 x u32 + stolen byte
   log_.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     Claim c;

@@ -44,9 +44,9 @@ using sim::StatSet;
 /// cross-tile grabs additionally as `mem.wq.steals`.
 ///
 /// Determinism: claims are processed inside MemorySystem::tick in MMIO
-/// queue arrival order, which the staged-submission epoch protocol keeps
-/// canonical under tile_workers > 1, so the claim schedule — and with it
-/// the whole run — is bit-identical across serial and threaded loops.
+/// queue arrival order, which the fixed tile order of the run loop makes
+/// canonical, so the claim schedule — and with it the whole run — is
+/// bit-identical across run modes.
 ///
 /// The claim log (who got which rows, in grant order) is host-side
 /// observability for the per-row oracle mode; it is serialized with the

@@ -121,6 +121,23 @@ class StateReader {
   /// their own validation errors (bounds checks, implausible counts).
   std::size_t offset() const { return pos_; }
 
+  /// Reject an element count read from the stream BEFORE anything is
+  /// sized by it: `count` elements of `bytes_each` serialized bytes each
+  /// must fit in what remains, or the stream is corrupt. Throws
+  /// SimError(Checkpoint) naming `what` and the offset of the count.
+  void checkCount(std::uint64_t count, std::uint64_t bytes_each,
+                  const char* what) const {
+    if (bytes_each != 0 && count > remaining() / bytes_each) {
+      throw SimError(ErrorKind::Checkpoint, "state-io",
+                     std::string("corrupt stream: ") + what + " count " +
+                         std::to_string(count) + " needs " +
+                         std::to_string(bytes_each) + " bytes each but only " +
+                         std::to_string(remaining()) +
+                         " remain (count read just before offset " +
+                         std::to_string(pos_) + ")");
+    }
+  }
+
  private:
   void need(std::uint64_t n) const {
     if (n > size_ - pos_) {

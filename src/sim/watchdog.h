@@ -43,7 +43,7 @@ class Watchdog {
     return period_ != 0 && (now & interval_mask_) == 0;
   }
 
-  /// Called instead of per-cycle sampling when the event loop is about to
+  /// Called instead of per-cycle sampling when the run loop is about to
   /// jump across a stretch in which no component has work (so the progress
   /// sum cannot change). Performs the one state-updating observation the naive
   /// loop would have made at the first sampling point after `now`, then

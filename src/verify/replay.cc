@@ -30,24 +30,6 @@ void writeCase(sim::StateWriter& w, const CosimCase& c) {
   for (sparse::Value val : c.sv.vals()) w.f32(val);
 }
 
-/// Reject a corrupt element count BEFORE allocating for it or mis-decoding
-/// the rest of the stream as payload: a count claiming more elements than
-/// the bytes left in the container can hold is structurally impossible.
-/// Names the offset of the count so a truncated/flipped bundle diagnoses
-/// itself.
-void checkCount(const sim::StateReader& r, std::uint64_t count,
-                std::uint64_t bytes_each, const char* what) {
-  if (bytes_each != 0 && count > r.remaining() / bytes_each) {
-    throw sim::SimError(
-        sim::ErrorKind::Checkpoint, "replay",
-        std::string("corrupt bundle: ") + what + " count " +
-            std::to_string(count) + " needs " +
-            std::to_string(count * bytes_each) + " bytes but only " +
-            std::to_string(r.remaining()) + " remain (count read just "
-            "before offset " + std::to_string(r.offset()) + ")");
-  }
-}
-
 CosimCase readCase(sim::StateReader& r) {
   CosimCase c;
   const std::uint32_t kind = r.u32();
@@ -63,7 +45,7 @@ CosimCase readCase(sim::StateReader& r) {
   const sim::Index num_rows = r.u32();
   const sim::Index num_cols = r.u32();
   const std::uint64_t nnz = r.u64();
-  checkCount(r, nnz, 12, "CSRM triplet");  // row + col + value
+  r.checkCount(nnz, 12, "CSRM triplet");  // row + col + value
   sparse::CooMatrix coo(num_rows, num_cols);
   for (std::uint64_t i = 0; i < nnz; ++i) {
     const std::size_t at = r.offset();
@@ -83,14 +65,14 @@ CosimCase readCase(sim::StateReader& r) {
   c.m = sparse::CsrMatrix::fromCoo(std::move(coo));
   r.expectTag("DVEC");
   const std::uint32_t dv_len = r.u32();
-  checkCount(r, dv_len, 4, "DVEC element");
+  r.checkCount(dv_len, 4, "DVEC element");
   std::vector<sparse::Value> dv(dv_len);
   for (auto& val : dv) val = r.f32();
   c.v = sparse::DenseVector(std::move(dv));
   r.expectTag("SVEC");
   const sim::Index sv_size = r.u32();
   const std::uint32_t sv_nnz = r.u32();
-  checkCount(r, sv_nnz, 8, "SVEC entry");  // index + value
+  r.checkCount(sv_nnz, 8, "SVEC entry");  // index + value
   std::vector<sim::Index> idx(sv_nnz);
   for (auto& i : idx) {
     const std::size_t at = r.offset();

@@ -192,6 +192,61 @@ TEST(Checkpoint, RestoreRejectsMismatchesAndCorruption) {
   }
 }
 
+/// Observer that checkpoints the running System at the first cycle its
+/// HHT holds a published buffer.
+class CheckpointWithPublishedBuffer : public RunObserver {
+ public:
+  explicit CheckpointWithPublishedBuffer(const isa::Program& program)
+      : program_(&program) {}
+
+  void onCycle(MultiTileSystem& sys, Cycle now) override {
+    if (snapshot_.empty() &&
+        sys.asicHht(0)->bufferPool().publishedBuffers() > 0) {
+      snapshot_ = static_cast<System&>(sys).checkpoint(*program_, now + 1);
+    }
+  }
+
+  const std::vector<std::uint8_t>& snapshot() const { return snapshot_; }
+
+ private:
+  const isa::Program* program_;
+  std::vector<std::uint8_t> snapshot_;
+};
+
+TEST(Checkpoint, HugeBufferSlotCountIsRejectedBeforeAllocating) {
+  // A published buffer's slot count sizes a reservation on restore; a
+  // corrupt count must fail as SimError(Checkpoint) before that.
+  const SystemConfig cfg = defaultConfig();
+  System sys(cfg);
+  const Workload w = prepare(sys, 0xC4F0);
+  CheckpointWithPublishedBuffer observer(w.program);
+  sys.run(w.program, w.layout.y, w.layout.num_rows, 500'000'000, nullptr,
+          &observer);
+  ASSERT_FALSE(observer.snapshot().empty()) << "no buffer was ever published";
+
+  // The HHT's buffer section ("BUFP", the last section with that tag)
+  // starts with a u64 buffer count, then the first buffer's u64 slot count.
+  std::vector<std::uint8_t> bad = observer.snapshot();
+  const char tag[] = {'B', 'U', 'F', 'P'};
+  const auto bufp = std::find_end(bad.begin(), bad.end(), tag, tag + 4);
+  ASSERT_NE(bufp, bad.end());
+  const std::size_t slots = static_cast<std::size_t>(bufp - bad.begin()) + 12;
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (int i = 0; i < 8; ++i) {
+    bad[slots + i] = static_cast<std::uint8_t>(huge >> (8 * i));
+  }
+  System target(cfg);
+  try {
+    target.restore(bad, w.program);
+    ADD_FAILURE() << "restore accepted a huge buffer slot count";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Checkpoint) << e.what();
+    EXPECT_NE(std::string(e.what()).find("buffer slot count"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // Forward compatibility: a snapshot written by a NEWER simulator build must
 // be rejected with a structured error naming the version skew, never parsed
 // with this build's layout. Regression for the version check accepting any

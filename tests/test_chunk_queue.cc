@@ -2,8 +2,7 @@
 // chunk-queue MMIO device, the *ChunkQueue kernels that claim row chunks
 // from it, bit-identity of the dynamic schedule to the single-tile
 // reference, the per-row oracle mode, arbitration stats, snapshot v7
-// round-tripping of the queue state, and byte-identity under threaded tile
-// workers.
+// round-tripping of the queue state.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -166,6 +165,33 @@ TEST(ChunkQueue, SerializeRoundTripsAndRejectsTileMismatch) {
     ADD_FAILURE() << "deserialize accepted a tile-count mismatch";
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::Checkpoint);
+  }
+}
+
+TEST(ChunkQueue, HugeClaimLogCountIsRejectedBeforeAllocating) {
+  // The claim-log count sizes a reservation on restore; a corrupt count
+  // must fail as SimError(Checkpoint) before that.
+  ChunkQueueDevice dev(2);  // empty deques, empty log
+  sim::StateWriter w;
+  dev.serialize(w);
+  std::vector<std::uint8_t> bytes = w.data();
+  // "WKQ7", u32 tile count, one u64 length per (empty) deque, then the
+  // u64 claim-log count.
+  const std::size_t count_at = 4 + 4 + 2 * 8;
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  for (int i = 0; i < 8; ++i) {
+    bytes[count_at + i] = static_cast<std::uint8_t>(huge >> (8 * i));
+  }
+  ChunkQueueDevice restored(2);
+  sim::StateReader r(bytes);
+  try {
+    restored.deserialize(r);
+    ADD_FAILURE() << "deserialize accepted a huge claim-log count";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Checkpoint) << e.what();
+    EXPECT_NE(std::string(e.what()).find("claim log entry count"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -384,27 +410,6 @@ TEST(ChunkQueue, SnapshotFingerprintSeparatesQueueOnFromOff) {
   } catch (const SimError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::Checkpoint);
   }
-}
-
-TEST(ChunkQueue, ThreadedTileWorkersAreByteIdenticalToSerial) {
-  // The claim schedule is part of the architectural state, so the staged
-  // submission protocol must keep it — and with it every counter and the
-  // output — byte-identical when tiles tick on worker threads.
-  const sparse::CsrMatrix m = skewedMatrix(0xD1DA);
-  sim::Rng rng(0xD1DB);
-  const sparse::DenseVector v = workload::randomDenseVector(rng, m.numCols());
-
-  SystemConfig serial = cqConfig(4);
-  serial.tile_workers = 1;
-  SystemConfig threaded = cqConfig(4);
-  threaded.tile_workers = 4;
-
-  const RunResult a = runSpmvHhtChunkQueue(serial, 4, m, v, true, 8);
-  const RunResult b = runSpmvHhtChunkQueue(threaded, 4, m, v, true, 8);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.retired, b.retired);
-  EXPECT_EQ(a.stats.all(), b.stats.all());
-  expectSameY(a.y, b.y);
 }
 
 TEST(ChunkQueue, QueueWaitShowsUpInPerTileStallProfiles) {

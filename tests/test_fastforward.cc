@@ -1,10 +1,10 @@
 // Run-loop equivalence verification (DESIGN.md §11, §16): the host-side
-// event-scheduled calendar loop must be invisible in every simulated
-// result. Same cycle counts, same merged stats map, same output bits, same
-// snapshot bytes — for every engine, with and without fault injection,
-// with the patrol scrubber, under an oracle stream tap, across a
-// checkpoint/restore, and for every SweepRunner jobs value. Every A/B here
-// is per-cycle naive vs event calendar.
+// whole-machine jump must be invisible in every simulated result. Same
+// cycle counts, same merged stats map, same output bits, same snapshot
+// bytes — for every engine, with and without fault injection, with the
+// patrol scrubber, under an oracle stream tap, across a checkpoint/restore,
+// and for every SweepRunner jobs value. Every A/B here is per-cycle naive
+// vs the jump (SchedMode::Event).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -42,8 +42,8 @@ void expectIdentical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.stats.all(), b.stats.all()) << label;
 }
 
-/// Run `driver` under both run-loop strategies — per-cycle naive and
-/// event-scheduled calendar (everything else identical) — and require
+/// Run `driver` in both run modes — per-cycle naive and with the
+/// whole-machine jump (everything else identical) — and require
 /// bit-identical outcomes.
 template <typename Driver>
 void abFastForward(const char* label, const SystemConfig& cfg,

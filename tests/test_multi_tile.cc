@@ -2,12 +2,14 @@
 // bit-identical to the single-tile System for SpMV and both SpMSpV
 // variants under both partitioners; the single-tile robustness features
 // (checkpoint/restore, differential oracle, per-tile stall profiles, the
-// event-calendar loop) all carry over to multi-tile systems.
+// whole-machine jump of the run loop) all carry over to multi-tile
+// systems.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.h"
@@ -380,8 +382,10 @@ TEST(MultiTile, FastForwardIsBitIdenticalOn4Tiles) {
   expectSameY(fast.y, naive.y);
 }
 
-/// Memory/distribution variants the event-loop coverage sweeps.
-enum class Variant { kFlat, kHier, kChunkQueue };
+/// Machine variants the event-loop coverage sweeps: the flat shared SRAM,
+/// the hierarchical topology, the chunk queue, and the flat SRAM with
+/// per-tile response drop/delay injection and the patrol scrubber on.
+enum class Variant { kFlat, kHier, kChunkQueue, kFaultsScrub };
 
 /// One sharded (or chunk-queue) SpMV machine, ready to run.
 struct Machine {
@@ -390,13 +394,23 @@ struct Machine {
   std::vector<isa::Program> programs;
 };
 
-Machine buildMachine(std::uint32_t tiles, std::uint32_t workers,
-                     Variant variant, SchedMode mode,
+Machine buildMachine(std::uint32_t tiles, Variant variant, SchedMode mode,
                      const sparse::CsrMatrix& m, const sparse::DenseVector& v) {
   SystemConfig cfg =
       variant == Variant::kHier ? hierConfig(tiles) : scaleConfig(tiles);
   cfg.memory.work_queue_enabled = variant == Variant::kChunkQueue;
-  cfg.tile_workers = workers;
+  if (variant == Variant::kFaultsScrub) {
+    // Drops and delays are recovered inside the memory system, so the run
+    // completes; each tile draws its own fault stream.
+    cfg.faults.enabled = true;
+    cfg.faults.seed = 0x4743;
+    cfg.faults.drop_rate = 0.02;
+    cfg.faults.drop_penalty_cycles = 32;
+    cfg.faults.delay_rate = 0.02;
+    cfg.faults.delay_cycles = 16;
+    cfg.memory.scrub_enabled = true;
+    cfg.memory.scrub_period = 16;
+  }
   cfg.sched_mode = mode;
   Machine mc;
   mc.sys = std::make_unique<MultiTileSystem>(cfg);
@@ -417,60 +431,63 @@ Machine buildMachine(std::uint32_t tiles, std::uint32_t workers,
   return mc;
 }
 
-TEST(MultiTile, EventLoopMatchesNaiveAcrossTilesWorkersAndTopologies) {
-  // The event calendar is tile-generic (2N+1 slots); it must reproduce the
-  // naive loop's output bits, merged stats and snapshot bytes — at the end
-  // of the run and mid-run, where lazily-skipped components must have been
-  // credited exactly — for every tile count, serial and threaded tile
-  // phases, and the flat, hierarchical and chunk-queue machines.
+TEST(MultiTile, EventLoopMatchesNaiveAcrossTilesAndTopologies) {
+  // The whole-machine jump must reproduce the naive loop's output bits,
+  // merged stats and snapshot bytes — at the end of the run and mid-run,
+  // where every skipped component must have been credited exactly — for
+  // every tile count on the flat, hierarchical and chunk-queue machines,
+  // and on 4 tiles with fault injection and scrubbing.
   sim::Rng rng(0x4740);
   const sparse::CsrMatrix m = workload::randomCsr(rng, 64, 64, 0.2);
   const sparse::DenseVector v = workload::randomDenseVector(rng, 64);
+  std::vector<std::pair<std::uint32_t, Variant>> cases;
   for (const std::uint32_t tiles : {1u, 2u, 4u, 8u}) {
-    for (const std::uint32_t workers : {1u, 2u}) {
-      for (const Variant variant :
-           {Variant::kFlat, Variant::kHier, Variant::kChunkQueue}) {
-        const std::string label =
-            "tiles=" + std::to_string(tiles) +
-            " workers=" + std::to_string(workers) + " variant=" +
-            std::to_string(static_cast<int>(variant));
-        Machine naive =
-            buildMachine(tiles, workers, variant, SchedMode::Naive, m, v);
-        Machine event =
-            buildMachine(tiles, workers, variant, SchedMode::Event, m, v);
-        const RunResult a = naive.sys->run(naive.programs, naive.layout.y,
-                                           naive.layout.num_rows);
-        const RunResult b = event.sys->run(event.programs, event.layout.y,
-                                           event.layout.num_rows);
-        EXPECT_EQ(a.cycles, b.cycles) << label;
-        EXPECT_EQ(a.stats.all(), b.stats.all()) << label;
-        expectSameY(a.y, b.y);
-        expectSameY(sparse::spmvCsr(m, v), b.y);
-        EXPECT_EQ(naive.sys->checkpoint(naive.programs, a.cycles),
-                  event.sys->checkpoint(event.programs, b.cycles))
-            << label;
+    for (const Variant variant :
+         {Variant::kFlat, Variant::kHier, Variant::kChunkQueue}) {
+      cases.emplace_back(tiles, variant);
+    }
+  }
+  cases.emplace_back(4u, Variant::kFaultsScrub);
+  for (const auto& [tiles, variant] : cases) {
+    const std::string label = "tiles=" + std::to_string(tiles) + " variant=" +
+                              std::to_string(static_cast<int>(variant));
+    Machine naive = buildMachine(tiles, variant, SchedMode::Naive, m, v);
+    Machine event = buildMachine(tiles, variant, SchedMode::Event, m, v);
+    const RunResult a =
+        naive.sys->run(naive.programs, naive.layout.y, naive.layout.num_rows);
+    const RunResult b =
+        event.sys->run(event.programs, event.layout.y, event.layout.num_rows);
+    EXPECT_EQ(a.cycles, b.cycles) << label;
+    EXPECT_EQ(a.stats.all(), b.stats.all()) << label;
+    expectSameY(a.y, b.y);
+    expectSameY(sparse::spmvCsr(m, v), b.y);
+    if (variant == Variant::kFaultsScrub) {
+      // The variant only covers something if both mechanisms fired and
+      // the event run still jumped.
+      EXPECT_GT(a.stats.value("faults.total_injected"), 0u) << label;
+      EXPECT_GT(a.stats.value("mem.scrub.reads"), 0u) << label;
+      EXPECT_GT(event.sys->hostSkippedCycles(), 0u) << label;
+    }
+    EXPECT_EQ(naive.sys->checkpoint(naive.programs, a.cycles),
+              event.sys->checkpoint(event.programs, b.cycles))
+        << label;
 
-        // Mid-run: stop both loops at the same cycle via max_cycles and
-        // compare the complete machine state there.
-        const Cycle cut = a.cycles / 2;
-        Machine naive_cut =
-            buildMachine(tiles, workers, variant, SchedMode::Naive, m, v);
-        Machine event_cut =
-            buildMachine(tiles, workers, variant, SchedMode::Event, m, v);
-        for (Machine* mc : {&naive_cut, &event_cut}) {
-          try {
-            mc->sys->run(mc->programs, mc->layout.y, mc->layout.num_rows,
-                         cut);
-            ADD_FAILURE() << label << ": run finished before the cut";
-          } catch (const SimError& e) {
-            EXPECT_EQ(e.kind(), ErrorKind::Watchdog) << label;
-          }
-        }
-        EXPECT_EQ(naive_cut.sys->checkpoint(naive_cut.programs, cut),
-                  event_cut.sys->checkpoint(event_cut.programs, cut))
-            << label;
+    // Mid-run: stop both loops at the same cycle via max_cycles and
+    // compare the complete machine state there.
+    const Cycle cut = a.cycles / 2;
+    Machine naive_cut = buildMachine(tiles, variant, SchedMode::Naive, m, v);
+    Machine event_cut = buildMachine(tiles, variant, SchedMode::Event, m, v);
+    for (Machine* mc : {&naive_cut, &event_cut}) {
+      try {
+        mc->sys->run(mc->programs, mc->layout.y, mc->layout.num_rows, cut);
+        ADD_FAILURE() << label << ": run finished before the cut";
+      } catch (const SimError& e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Watchdog) << label;
       }
     }
+    EXPECT_EQ(naive_cut.sys->checkpoint(naive_cut.programs, cut),
+              event_cut.sys->checkpoint(event_cut.programs, cut))
+        << label;
   }
 }
 
@@ -522,87 +539,6 @@ TEST(MultiTile, TracedShardedRunProfilesTileZeroOverTheWholeHorizon) {
         obs::Component::kHhtBe}) {
     EXPECT_EQ(rep.componentTotal(c), rep.horizon)
         << "component " << static_cast<int>(c);
-  }
-}
-
-TEST(MultiTile, ThreadedTilePhaseIsByteIdenticalToSerial) {
-  // tile_workers > 1 runs the per-tile component ticks on worker threads
-  // with staged memory submissions drained in canonical tile order — a
-  // host-side execution strategy only. Every run surface (RunResult,
-  // merged stats map, output vector, the complete serialized snapshot)
-  // must be byte-identical to the serial loop for every tile count and
-  // every worker count, including workers > tiles.
-  for (const std::uint32_t tiles : {2u, 4u, 8u}) {
-    SystemConfig serial_cfg = scaleConfig(tiles);
-    serial_cfg.tile_workers = 1;
-    MultiTileSystem serial_sys(serial_cfg);
-    const ShardedWorkload ws = prepare(serial_sys, 0x4720 + tiles);
-    const RunResult serial =
-        serial_sys.run(ws.programs, ws.layout.y, ws.layout.num_rows);
-    const std::vector<std::uint8_t> serial_snap =
-        serial_sys.checkpoint(ws.programs, serial.cycles);
-
-    for (const std::uint32_t workers : {2u, 4u}) {
-      SystemConfig thr_cfg = scaleConfig(tiles);
-      thr_cfg.tile_workers = workers;
-      MultiTileSystem thr_sys(thr_cfg);
-      const ShardedWorkload wt = prepare(thr_sys, 0x4720 + tiles);
-      const RunResult thr =
-          thr_sys.run(wt.programs, wt.layout.y, wt.layout.num_rows);
-      const std::string label = "tiles=" + std::to_string(tiles) +
-                                " workers=" + std::to_string(workers);
-      EXPECT_EQ(serial.cycles, thr.cycles) << label;
-      EXPECT_EQ(serial.retired, thr.retired) << label;
-      EXPECT_EQ(serial.cpu_wait_cycles, thr.cpu_wait_cycles) << label;
-      EXPECT_EQ(serial.hht_wait_cycles, thr.hht_wait_cycles) << label;
-      EXPECT_EQ(serial.stats.all(), thr.stats.all()) << label;
-      expectSameY(serial.y, thr.y);
-      // The snapshot covers SRAM, queues, pipelines, RNG — byte equality
-      // here means the machines are indistinguishable, not just the
-      // result surface.
-      EXPECT_EQ(serial_snap, thr_sys.checkpoint(wt.programs, thr.cycles))
-          << label;
-    }
-  }
-}
-
-TEST(MultiTile, ThreadedTilePhaseEmitsIdenticalTraces) {
-  // Per-tile trace sinks see the exact same event streams no matter how
-  // many worker threads ticked the tiles: each tile traces only its own
-  // components, and the epoch barrier keeps cycle boundaries exact.
-  const std::uint32_t tiles = 2;
-  const auto run = [&](std::uint32_t workers) {
-    SystemConfig cfg = scaleConfig(tiles);
-    cfg.tile_workers = workers;
-    MultiTileSystem sys(cfg);
-    const ShardedWorkload w = prepare(sys, 0x4730);
-    std::vector<obs::TraceSink> sinks(tiles);
-    for (std::uint32_t t = 0; t < tiles; ++t) {
-      sys.setTileTraceSink(t, &sinks[t]);
-    }
-    sys.run(w.programs, w.layout.y, w.layout.num_rows);
-    std::vector<std::vector<obs::TraceEvent>> events;
-    for (auto& sink : sinks) {
-      events.push_back(sink.events());
-    }
-    return events;
-  };
-  const auto serial = run(1);
-  for (const std::uint32_t workers : {2u, 4u}) {
-    const auto threaded = run(workers);
-    ASSERT_EQ(serial.size(), threaded.size());
-    for (std::size_t t = 0; t < serial.size(); ++t) {
-      ASSERT_EQ(serial[t].size(), threaded[t].size())
-          << "tile " << t << " workers " << workers;
-      for (std::size_t i = 0; i < serial[t].size(); ++i) {
-        const obs::TraceEvent& a = serial[t][i];
-        const obs::TraceEvent& b = threaded[t][i];
-        ASSERT_TRUE(a.cycle == b.cycle && a.category == b.category &&
-                    a.component == b.component && a.kind == b.kind &&
-                    a.a == b.a && a.b == b.b)
-            << "tile " << t << " event " << i << " workers " << workers;
-      }
-    }
   }
 }
 

@@ -1,13 +1,10 @@
-// Unit tests for the sim substrate: deterministic PRNG, stat counters,
-// logging plumbing, and the event-calendar invariants the event-scheduled
-// run loop relies on.
+// Unit tests for the sim substrate: deterministic PRNG, stat counters and
+// logging plumbing.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <array>
 #include <set>
+#include <string>
 
-#include "sim/calendar.h"
 #include "sim/log.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
@@ -138,106 +135,6 @@ TEST(Log, MacroIsSilentWhenDisabled) {
   // Must compile, evaluate the level check only, and not crash.
   HHT_LOG_AT(Trace, "test", "value=%d", 42);
   SUCCEED();
-}
-
-TEST(EventCalendar, StartsIdle) {
-  EventCalendar<3> cal;
-  EXPECT_TRUE(cal.idle());
-  EXPECT_EQ(cal.next(), kNeverCycle);
-  for (std::size_t s = 0; s < cal.size(); ++s) {
-    EXPECT_EQ(cal.at(s), kNeverCycle);
-    EXPECT_FALSE(cal.due(s, 1'000'000));
-  }
-}
-
-// The run loop's safety property: next() may never exceed the earliest
-// posted event, no matter the posting order — a skip to next() can never
-// jump past a cycle where some component declared work.
-TEST(EventCalendar, NeverSkipsPastPostedEvent) {
-  EventCalendar<3> cal;
-  cal.post(0, 500);
-  cal.post(1, 120);
-  cal.post(2, 900);
-  EXPECT_EQ(cal.next(), 120u);
-  // Tighten the earliest: min must follow downward immediately.
-  cal.post(2, 40);
-  EXPECT_EQ(cal.next(), 40u);
-  // Randomized cross-check against a straight min over the slots.
-  Rng rng(0xCA1E'0001);
-  std::array<Cycle, 3> shadow = {500, 120, 40};
-  for (int i = 0; i < 10'000; ++i) {
-    const std::size_t slot = static_cast<std::size_t>(rng.nextBelow(3));
-    const Cycle c = rng.nextBool(0.1)
-                        ? kNeverCycle
-                        : static_cast<Cycle>(rng.nextBelow(1 << 20));
-    cal.post(slot, c);
-    shadow[slot] = c;
-    const Cycle want = std::min({shadow[0], shadow[1], shadow[2]});
-    ASSERT_EQ(cal.next(), want) << "iteration " << i;
-    ASSERT_LE(cal.next(), shadow[0]);
-    ASSERT_LE(cal.next(), shadow[1]);
-    ASSERT_LE(cal.next(), shadow[2]);
-  }
-}
-
-// A component has exactly one pending event: re-posting a slot overwrites
-// the previous entry rather than accumulating (dedupe), in both
-// directions, including back to kNeverCycle.
-TEST(EventCalendar, RepostOverwritesAndDedupes) {
-  EventCalendar<3> cal;
-  cal.post(0, 100);
-  cal.post(0, 100);  // identical re-post is a no-op
-  EXPECT_EQ(cal.at(0), 100u);
-  EXPECT_EQ(cal.next(), 100u);
-  cal.post(0, 50);  // moved earlier
-  EXPECT_EQ(cal.at(0), 50u);
-  EXPECT_EQ(cal.next(), 50u);
-  cal.post(0, 300);  // moved later: the old 50/100 entries must be gone
-  EXPECT_EQ(cal.at(0), 300u);
-  EXPECT_EQ(cal.next(), 300u);
-  EXPECT_FALSE(cal.due(0, 299));
-  EXPECT_TRUE(cal.due(0, 300));
-  cal.post(0, kNeverCycle);  // withdrawn entirely
-  EXPECT_TRUE(cal.idle());
-  EXPECT_FALSE(cal.due(0, kNeverCycle - 1));
-}
-
-// Same-cycle multi-component wakeups: every slot posted for cycle C stays
-// individually due at C until that slot itself is re-posted past it —
-// servicing one component must not lose the others.
-TEST(EventCalendar, SameCycleMultiComponentWakeups) {
-  EventCalendar<3> cal;
-  cal.post(0, 77);
-  cal.post(1, 77);
-  cal.post(2, 77);
-  EXPECT_EQ(cal.next(), 77u);
-  EXPECT_TRUE(cal.due(0, 77));
-  EXPECT_TRUE(cal.due(1, 77));
-  EXPECT_TRUE(cal.due(2, 77));
-  // Service slot 0 (it schedules ahead); the rest remain due and the min
-  // must not move past 77.
-  cal.post(0, 78);
-  EXPECT_EQ(cal.next(), 77u);
-  EXPECT_FALSE(cal.due(0, 77));
-  EXPECT_TRUE(cal.due(1, 77));
-  EXPECT_TRUE(cal.due(2, 77));
-  cal.post(1, 90);
-  EXPECT_EQ(cal.next(), 77u) << "slot 2 still owes work at 77";
-  cal.post(2, 78);
-  EXPECT_EQ(cal.next(), 78u);
-  EXPECT_TRUE(cal.due(0, 78));
-  EXPECT_TRUE(cal.due(2, 78));
-  EXPECT_FALSE(cal.due(1, 78));
-}
-
-// due() is "at or before": an event posted in the past stays due until
-// re-posted, so a loop that fell behind still services it.
-TEST(EventCalendar, PastEventsStayDue) {
-  EventCalendar<3> cal;
-  cal.post(1, 10);
-  EXPECT_TRUE(cal.due(1, 10));
-  EXPECT_TRUE(cal.due(1, 10'000));
-  EXPECT_EQ(cal.next(), 10u);
 }
 
 }  // namespace

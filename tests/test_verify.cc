@@ -5,6 +5,7 @@
 // must catch end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <fstream>
 
@@ -250,6 +251,54 @@ TEST(ReplayBundle, CorruptFilesAreRejected) {
     out << "junk";
   }
   expectCheckpointError(trailing);
+}
+
+TEST(ReplayBundle, HugeTopologyNodeCountIsRejectedBeforeAllocating) {
+  // The embedded SystemConfig's topology-node count sizes a vector on
+  // load; a corrupt count must fail as SimError(Checkpoint) before that.
+  sim::Rng rng(0xB16);
+  ReplayBundle bundle;
+  bundle.c = randomCase(rng, EngineKind::Gather);
+  bundle.c.cfg.memory.topology.nodes.clear();
+  const std::string path = ::testing::TempDir() + "/hht_huge_nodes.hhtr";
+  saveBundle(path, bundle);
+  std::ifstream in(path, std::ios::binary);
+  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+
+  // Locate the node count: the config bytes sit verbatim in the bundle,
+  // and the count is the first byte that differs once a node is added.
+  const auto configBytes = [](const harness::SystemConfig& cfg) {
+    sim::StateWriter w;
+    harness::writeSystemConfig(w, cfg);
+    return w.data();
+  };
+  const std::vector<std::uint8_t> plain = configBytes(bundle.c.cfg);
+  harness::SystemConfig one_node = bundle.c.cfg;
+  one_node.memory.topology.nodes.resize(1);
+  const std::vector<std::uint8_t> with_node = configBytes(one_node);
+  const auto field =
+      std::mismatch(plain.begin(), plain.end(), with_node.begin()).first -
+      plain.begin();
+  const auto at =
+      std::search(bytes.begin(), bytes.end(), plain.begin(), plain.end()) -
+      bytes.begin();
+  ASSERT_LT(static_cast<std::size_t>(at), bytes.size());
+  for (int i = 0; i < 4; ++i) bytes[at + field + i] = 0xFF;
+
+  const std::string corrupt = ::testing::TempDir() + "/hht_huge_nodes_bad.hhtr";
+  std::ofstream(corrupt, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  try {
+    loadBundle(corrupt);
+    ADD_FAILURE() << "a bundle with a huge topology-node count loaded";
+  } catch (const sim::SimError& e) {
+    EXPECT_EQ(e.kind(), sim::ErrorKind::Checkpoint) << e.what();
+    EXPECT_NE(std::string(e.what()).find("topology node count"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
